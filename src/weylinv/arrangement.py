@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .linalg import Eliminator, kernel_basis, primitive, rank as matrix_rank, rref, solve_coords
+from .linalg import Eliminator, kernel_basis, pivot_columns, primitive, rank as matrix_rank
 from .polynomials import IntPolynomial
 
 Normal = Tuple[int, ...]
@@ -67,16 +67,6 @@ def flat_of(A: Arrangement, indices: Iterable[int]) -> Flat:
     return Flat(sub, closed)
 
 
-def flat_from_subspace(A: Arrangement, basis: Sequence[Sequence[int]]) -> Flat:
-    """The smallest flat whose subspace contains span(basis)."""
-    elim = Eliminator()
-    for v in basis:
-        elim.add(v)
-    contains = [i for i, n in enumerate(A.normals)
-                if all(sum(x * y for x, y in zip(n, b)) == 0 for b in elim.rows)]
-    return flat_of(A, contains)
-
-
 def deletion(A: Arrangement, normal: Sequence[int]) -> Arrangement:
     h = primitive(normal)
     if h not in A.normals:
@@ -110,15 +100,12 @@ def localization(A: Arrangement, X: Flat) -> Arrangement:
 
 def quotient_by_center(A: Arrangement) -> Arrangement:
     """Re-coordinatize so the center becomes 0: express normals in the
-    canonical RREF basis of their span."""
-    if not A.normals:
-        return Arrangement(0, [])
-    basis = rref(A.normals)
-    out = []
-    for v in A.normals:
-        coords = solve_coords(basis, v)
-        out.append(coords)
-    return Arrangement(len(basis), out)
+    canonical RREF basis of their span, whose rows are unit vectors on its
+    pivot columns, so a normal's coordinates are its entries there."""
+    pivots = pivot_columns(A.normals)
+    if len(pivots) == A.dim:
+        return A
+    return Arrangement(len(pivots), [tuple(v[p] for p in pivots) for v in A.normals])
 
 
 def matroid_rank(A: Arrangement, subset: Iterable[int]) -> int:
@@ -143,12 +130,11 @@ def nbc_sets(A: Arrangement, order: Optional[Sequence[Normal]] = None) -> List[T
             out.append(tuple(taken))
             return
         gamma = ordered[i]
-        if elim.in_span(gamma):
-            # gamma can be neither taken (dependent) nor skipped (it would be
-            # a broken-circuit witness for every completion)
-            return
         ext = elim.copy()
-        ext.add(gamma)
+        if not ext.add(gamma):
+            # gamma is in the span: it can be neither taken (dependent) nor
+            # skipped (it would be a broken-circuit witness for every completion)
+            return
         taken.append(gamma)
         rec(i + 1, taken, ext)
         taken.pop()

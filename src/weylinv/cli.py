@@ -18,7 +18,7 @@ from .inversion import inversion_arrangement
 from .polynomials import linear_split
 from .rootsys import RootSystem
 from .smoothness import (
-    PATTERNS, avoids_perm_pattern, complete_chain_bp, contains_pattern,
+    ALL_CHECKS, PATTERNS, avoids_perm_pattern, complete_chain_bp, contains_pattern,
     exceptional_element, exceptional_exponents, exponents_of, hlss,
     inversion_graph, is_chordal, perm_of, theorem_audit,
 )
@@ -121,6 +121,9 @@ def cmd_analyze(args) -> int:
 def cmd_audit(args) -> int:
     g = _group(args.system)
     checks = args.checks.split(",") if args.checks else None
+    unknown = sorted(set(checks or ()) - set(ALL_CHECKS))
+    if unknown:
+        raise CLIError(EXIT_INPUT, f"unknown checks: {','.join(unknown)}")
     try:
         report = theorem_audit(g, checks=checks, sample_j=args.sample_j,
                                seed=args.seed, override=args.override)
@@ -232,7 +235,7 @@ def cmd_verify(args) -> int:
             obj = json.load(f)
         header = obj["header"]
         cert = obj["certificate"]
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         print(f"malformed certificate file: {e}", file=sys.stderr)
         return EXIT_INPUT
     if header.get("system") != args.system or \

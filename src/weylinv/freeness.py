@@ -14,7 +14,7 @@ from .arrangement import (
     Arrangement, Flat, deletion, is_modular_coatom, localization,
     poincare_polynomial, quotient_by_center, restriction,
 )
-from .linalg import primitive, rank as matrix_rank, rref, solve_coords
+from .linalg import pivot_columns, primitive, rank as matrix_rank
 from .polynomials import IntPolynomial, linear_split
 
 DEFAULT_MEMO_CAP = 10 ** 6
@@ -100,13 +100,13 @@ class _Search:
             if s1 == UNDETERMINED:
                 undetermined = True
                 continue
-            if s1 != FREE or Counter(self._pad(x1, del_A, l)) != Counter(mdel):
+            if s1 != FREE or Counter(self._pad(x1, l)) != Counter(mdel):
                 continue
             s2, x2 = self.decide(res_A, cap, order)
             if s2 == UNDETERMINED:
                 undetermined = True
                 continue
-            if s2 != FREE or Counter(self._pad(x2, res_A, l - 1)) != Counter(mres):
+            if s2 != FREE or Counter(self._pad(x2, l - 1)) != Counter(mres):
                 continue
             return self._store(key, cap, FREE, tuple(roots), pivot)
         if undetermined:
@@ -121,7 +121,7 @@ class _Search:
         return sorted(roots + [0] * (width - len(roots)))
 
     @staticmethod
-    def _pad(ess_exps: Tuple[int, ...], child: Arrangement, width: int):
+    def _pad(ess_exps: Tuple[int, ...], width: int):
         return sorted(list(ess_exps) + [0] * (width - len(ess_exps)))
 
     def _store(self, key, cap, status, exps, pivot):
@@ -238,7 +238,10 @@ def _verify(A: Arrangement, cert, path) -> List[int]:
         return sorted(roots + [0] * (l - len(roots)))
     if not isinstance(cert, dict) or set(cert) != {"pivot", "del", "res"}:
         raise CertificateReject(path, "malformed certificate node")
-    pivot = tuple(int(x) for x in cert["pivot"])
+    pivot = cert["pivot"]
+    if not isinstance(pivot, (list, tuple)) or any(type(x) is not int for x in pivot):
+        raise CertificateReject(path, "pivot entries must be integers")
+    pivot = tuple(pivot)
     if pivot not in ess.normals:
         raise CertificateReject(path, "pivot not a hyperplane of the arrangement")
     exps_del = _verify(deletion(ess, pivot), cert["del"], path + ["del"])
@@ -306,8 +309,8 @@ def _peel_certificate(A: Arrangement, inside: frozenset, budget, order):
 
 def _ess_images(A: Arrangement):
     """Original normal -> its (primitive) image in essential coordinates."""
-    basis = rref(A.normals)
-    return {v: primitive(solve_coords(basis, v)) for v in A.normals}
+    pivots = pivot_columns(A.normals)
+    return {v: primitive(tuple(v[p] for p in pivots)) for v in A.normals}
 
 
 def _map_outside(A: Arrangement, inside: frozenset):

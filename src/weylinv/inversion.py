@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import Arrangement
-from .linalg import Eliminator, kernel_basis
 from .rootsys import Root, RootSystem, Subsystem, subsystem
 from .weyl import WeylElement, WeylGroup
 
@@ -126,18 +125,3 @@ def flatten(w: WeylElement, U_basis: Sequence[Sequence[int]]) -> Tuple[WeylEleme
 
 def inversion_arrangement(w: WeylElement) -> Arrangement:
     return Arrangement(w.group.rank, inversion_set(w).roots)
-
-
-def inversion_span_center(w: WeylElement):
-    """(basis of span I(w), basis of the center of the arrangement)."""
-    n = w.group.rank
-    roots = inversion_set(w).roots
-    elim = Eliminator()
-    span = []
-    for beta in roots:
-        if elim.add(beta):
-            span.append(beta)
-    center = kernel_basis(roots, n) if roots else tuple(
-        tuple(int(i == j) for j in range(n)) for i in range(n)
-    )
-    return tuple(span), center

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Eliminator, primitive, rank, rref, solve_coords
+from .linalg import Eliminator, det, solve_coords
 
 Root = Tuple[int, ...]
 
@@ -51,7 +51,7 @@ class CartanDatum:
                     raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
         # positive definiteness via leading principal minors
         for k in range(1, n + 1):
-            if _det([row[:k] for row in B[:k]]) <= 0:
+            if det([row[:k] for row in B[:k]]) <= 0:
                 raise ValueError("symmetrized Cartan form is not positive definite")
 
     def form(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -60,26 +60,6 @@ class CartanDatum:
             tuple(self.symmetrizer[i] * self.cartan_matrix[i][j] for j in range(self.rank))
             for i in range(self.rank)
         )
-
-
-def _det(rows) -> Fraction:
-    work = [[Fraction(x) for x in row] for row in rows]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col]:
-                c = work[i][col] / work[col][col]
-                for j in range(col, n):
-                    work[i][j] -= c * work[col][j]
-    return det
 
 
 def _edges_for(label: str, n: int) -> List[Tuple[int, int]]:
@@ -265,9 +245,9 @@ class Subsystem:
     def coords(self, beta: Root) -> Root:
         """Coordinates of an ambient subsystem root in the Delta_U basis."""
         c = solve_coords(self.simple_roots, beta)
-        if c is None or any(x.denominator != 1 for x in map(Fraction, c)):
+        if c is None or any(x.denominator != 1 for x in c):
             raise ValueError("vector is not in the subsystem lattice")
-        return tuple(int(x) for x in c)
+        return c
 
     def system(self) -> RootSystem:
         """Abstract copy of the subsystem in its own simple-root coordinates."""
@@ -389,8 +369,3 @@ def cartan_isomorphisms(source: Sequence[Sequence[int]], target: Sequence[Sequen
                 break
         if ok:
             yield p
-
-
-def build_root_system(datum: CartanDatum) -> Tuple[Root, ...]:
-    """All positive roots, sorted by height then lexicographically."""
-    return RootSystem.get(datum).positive_roots

@@ -14,7 +14,7 @@ from .arrangement import (
     nbc_counts_by_size, poincare_polynomial,
 )
 from .inversion import flatten, inversion_arrangement, inversion_set
-from .linalg import Eliminator, rank as matrix_rank, rref
+from .linalg import rank as matrix_rank, rref
 from .polynomials import IntPolynomial, product, q_int, q_integer_factorization
 from .rootsys import RootSystem, cartan_isomorphisms, root_height
 from .weyl import (
@@ -274,10 +274,8 @@ def _root_subspaces(system: RootSystem, r: int):
     """RREF bases of all r-dimensional subspaces spanned by positive roots."""
     seen: Dict[tuple, tuple] = {}
     for subset in itertools.combinations(system.positive_roots, r):
-        if matrix_rank(subset) != r:
-            continue
         key = rref(subset)
-        if key not in seen:
+        if len(key) == r and key not in seen:
             seen[key] = subset
     return seen.values()
 

@@ -45,7 +45,8 @@ class WeylElement:
         self._word: Optional[Tuple[int, ...]] = None
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, WeylElement) and self.cols == other.cols)
+        return self is other or (isinstance(other, WeylElement) and self.group is other.group
+                                 and self.cols == other.cols)
 
     def __hash__(self):
         return self._hash
@@ -229,10 +230,6 @@ class WeylGroup:
 
 
 # -- free functions matching the operation contract ------------------------
-
-
-def act(w: WeylElement, beta: Sequence[int]) -> Root:
-    return w.apply(beta)
 
 
 def descents(w: WeylElement, side: str) -> FrozenSet[int]:

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import fraction_linalg as ref
 from weylinv.arrangement import (
     Arrangement, characteristic_polynomial, coatoms, deletion, flat_of,
     flats_of_rank, is_modular_coatom, is_supersolvable, localization,
@@ -104,6 +106,23 @@ def test_quotient_by_center():
     assert ess.dim == 2
     assert len(ess.normals) == 3
     assert quotient_by_center(Arrangement(3, [])) == Arrangement(0, [])
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)))
+def test_quotient_by_center_matches_fraction_oracle(rows):
+    A = Arrangement(len(rows[0]) if rows else 3, rows)
+    assert quotient_by_center(A) == ref.quotient_by_center(A)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_quotient_by_center_matches_oracle_on_inversion_arrangements(name):
+    for w in WeylGroup.get(name).elements():
+        A = inversion_arrangement(w)
+        assert quotient_by_center(A) == ref.quotient_by_center(A)
+        for v in A.normals:
+            for child in (deletion(A, v), restriction(A, v)):
+                assert quotient_by_center(child) == ref.quotient_by_center(child)
 
 
 def test_flats_and_coatoms_of_braid():

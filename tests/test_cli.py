@@ -144,6 +144,37 @@ def test_verify_rejects_tampered_pivot(tmp_path, capsys):
     assert "reject" in err
 
 
+def test_verify_rejects_non_integer_pivot_entries(tmp_path, capsys):
+    # int() would truncate 0.5 to 0 and turn true into 1, giving the real pivot
+    for bad in ([0.5, 0, 1], [0, 0, True], [0, 0, 1.0]):
+        cert = tmp_path / "w0.json"
+        run(capsys, "certify", "A3", "1", "2", "1", "3", "2", "1", "--out", str(cert))
+        obj = json.loads(cert.read_text())
+        assert obj["certificate"]["pivot"] == [0, 0, 1]
+        obj["certificate"]["pivot"] = bad
+        cert.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", "A3", "1", "2", "1", "3", "2", "1",
+                             "--cert", str(cert))
+        assert code == 5, bad
+        assert out == ""
+        assert "pivot entries must be integers" in err
+
+
+def test_verify_deeply_nested_file_is_an_input_error(tmp_path, capsys):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "verify", "A3", "1", "--cert", str(cert))
+    assert code == 2
+    assert "malformed certificate file" in err
+
+
+def test_audit_unknown_check_is_an_input_error(capsys):
+    code, out, err = run(capsys, "audit", "A2", "--checks", "hlss,bogus", "--json")
+    assert code == 2
+    assert out == ""
+    assert "bogus" in err
+
+
 def test_certify_refuses_non_free_element(capsys):
     code, _, err = run(capsys, "certify", "A3", "2", "3", "1", "2")
     assert code == 5

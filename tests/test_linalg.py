@@ -3,8 +3,9 @@ from itertools import combinations
 
 from hypothesis import given, strategies as st
 
+import fraction_linalg as ref
 from weylinv.linalg import (
-    Eliminator, invert_unimodular, kernel_basis, primitive, rank, rref, solve_coords,
+    Eliminator, det, kernel_basis, pivot_columns, primitive, rank, rref, solve_coords,
 )
 
 small_matrix = st.lists(
@@ -13,24 +14,27 @@ small_matrix = st.lists(
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+def cofactor_det(sub):
+    """Determinant by cofactor expansion along the first row."""
+    k = len(sub)
+    if k == 0:
+        return 1
+    out = 0
+    for j in range(k):
+        minor = [row[:j] + row[j + 1:] for row in sub[1:]]
+        out += (-1) ** j * sub[0][j] * cofactor_det(minor)
+    return out
+
+
 def minor_rank(rows):
     """Independent oracle: largest k with a nonzero k x k minor."""
+    if not rows:
+        return 0
     m, n = len(rows), len(rows[0])
-
-    def det(sub):
-        k = len(sub)
-        if k == 1:
-            return sub[0][0]
-        out = 0
-        for j in range(k):
-            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-            out += (-1) ** j * sub[0][j] * det(minor)
-        return out
-
     for k in range(min(m, n), 0, -1):
         for ris in combinations(range(m), k):
             for cis in combinations(range(n), k):
-                if det([[rows[i][j] for j in cis] for i in ris]) != 0:
+                if cofactor_det([[rows[i][j] for j in cis] for i in ris]) != 0:
                     return k
     return 0
 
@@ -84,6 +88,38 @@ def test_solve_coords_rejects_outside_span():
     assert solve_coords(((1, 0, 0),), (0, 1, 0)) is None
 
 
+@given(small_matrix)
+def test_eliminator_matches_minor_oracle(rows):
+    e = Eliminator()
+    seen = []
+    for row in rows:
+        grows = minor_rank(seen + [row]) > minor_rank(seen)
+        assert e.in_span(row) == (not grows)
+        assert e.add(row) == grows
+        seen.append(row)
+        assert len(e.pivots) == minor_rank(seen)
+        assert all(e.in_span(r) for r in seen)
+
+
+@given(small_matrix, st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+def test_elimination_matches_fraction_versions(rows, vec):
+    n = len(rows[0])
+    vec = vec[:n]
+    assert rref(rows) == ref.rref(rows)
+    assert kernel_basis(rows, n) == ref.kernel_basis(rows, n)
+    assert solve_coords(rows, vec) == ref.solve_coords(rows, vec)
+    assert pivot_columns(rows) == tuple(
+        next(j for j, x in enumerate(row) if x) for row in ref.rref(rows))
+
+
+@given(st.integers(0, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_det_matches_cofactor_expansion(rows):
+    assert det(rows) == cofactor_det(rows)
+    halves = [[Fraction(x, 2) for x in row] for row in rows]
+    assert det(halves) == Fraction(cofactor_det(rows), 2 ** len(rows))
+
+
 def test_eliminator_tracks_span():
     e = Eliminator()
     assert e.add((1, 0, 1))
@@ -94,16 +130,3 @@ def test_eliminator_tracks_span():
     c = e.copy()
     c.add((0, 0, 1))
     assert not e.in_span((0, 0, 1))
-
-
-def test_invert_unimodular():
-    cols = ((1, 1), (0, 1))
-    inv = invert_unimodular(cols)
-    # cols * inv must be the identity (column-major convention)
-    n = 2
-    for j in range(n):
-        acc = [0] * n
-        for k in range(n):
-            for i in range(n):
-                acc[i] += cols[k][i] * inv[j][k]
-        assert tuple(acc) == tuple(int(i == j) for i in range(n))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weylinv import smoothness
 from weylinv.arrangement import is_supersolvable, poincare_polynomial, Arrangement
 from weylinv.inversion import flatten, inversion_arrangement, inversion_set
 from weylinv.linalg import rank as matrix_rank
@@ -103,6 +104,26 @@ def test_no_complete_chain_bp_for_3412():
     w = word_of((3, 4, 1, 2), g)
     assert find_chain_bp(w) is None or complete_chain_bp(w) is None
     assert complete_chain_bp(w) is None
+
+
+def test_elements_of_different_groups_are_unequal():
+    d4, b4 = WeylGroup.get("D4"), WeylGroup.get("B4")
+    assert d4.identity.cols == b4.identity.cols
+    assert d4.identity != b4.identity
+    assert len({d4.identity, b4.identity}) == 2
+
+
+def test_complete_chain_bp_does_not_depend_on_other_groups():
+    # same simple-root images in both groups; only the D4 element has no tree
+    d4w = WeylGroup.get("D4").from_word([1, 0, 2, 1, 0, 3, 1, 0, 2, 1, 3])
+    b4w = WeylGroup.get("B4").from_word([1, 0, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 3, 2, 3])
+    assert d4w.cols == b4w.cols
+    smoothness._complete_fail.clear()
+    fresh = complete_chain_bp(b4w) is not None
+    smoothness._complete_fail.clear()
+    assert complete_chain_bp(d4w) is None
+    assert (complete_chain_bp(b4w) is not None) == fresh
+    assert fresh
 
 
 def test_tree_exponents_multiply_to_interval_size():
