@@ -8,6 +8,7 @@ codes: 0 ok, 2 input error, 3 unknown root system, 4 guard/budget refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Sequence
@@ -68,7 +69,6 @@ def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> 
     P = poincare(w)
     exps = exponents_of(w)
     A = inversion_arrangement(w)
-    Q = poincare_polynomial(A)
     res = inductively_free(A, order=order)
     ss, _ = is_supersolvable(A)
     tree = complete_chain_bp(w)
@@ -87,8 +87,8 @@ def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> 
         "palindromic": P.is_palindromic(),
         "exponents": list(exps) if exps is not None else None,
         "hlss": hlss(w),
-        "q_poly": list(Q.coeffs),
-        "q_linear_factors": linear_split(Q),
+        "q_poly": list(res.q_poly.coeffs),
+        "q_linear_factors": linear_split(res.q_poly),
         "freeness": res.status,
         "coexponents": list(res.coexponents) if res.coexponents is not None else None,
         "supersolvable": ss,
@@ -282,13 +282,13 @@ def cmd_patterns(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="weylinv",
         description="Inversion hyperplane arrangements of Weyl group elements "
                     "(words are 1-based generator indices)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count hint (results are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def word_cmd(name, fn, **kw):
@@ -332,11 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CLIError as e:

@@ -67,7 +67,8 @@ class _Search:
             m = len(ess.normals)
             exps = (() if l == 0 else ((1,) if l == 1 else (1, m - 1)))
             return FREE, exps
-        key = (ess.dim, ess.normals)
+        # the pivot found depends on the order, so the order is part of the key
+        key = (order, ess.dim, ess.normals)
         hit = self.memo.get(key)
         if hit is not None:
             return hit[0], hit[1]
@@ -138,7 +139,7 @@ class _Search:
         status, _ = self.decide(ess, cap, order)
         if status != FREE:
             raise ValueError("arrangement is not known to be inductively free")
-        pivot = self.memo[(ess.dim, ess.normals)][2]
+        pivot = self.memo[(order, ess.dim, ess.normals)][2]
         return {
             "pivot": list(pivot),
             "del": self.certificate(deletion(ess, pivot), cap, order),

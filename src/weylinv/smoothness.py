@@ -144,9 +144,10 @@ def complete_chain_bp(w: WeylElement) -> Optional[ChainBPTree]:
 def exponents_of(w: WeylElement) -> Optional[Tuple[int, ...]]:
     """Nonzero exponents plus zero padding, or None if P_w is not a product
     of q-integers (only rationally smooth elements have exponents)."""
-    if not is_palindromic(poincare(w)):
+    P = poincare(w)
+    if not is_palindromic(P):
         return None
-    ms = q_integer_factorization(poincare(w))
+    ms = q_integer_factorization(P)
     if ms is None:
         return None
     return tuple(sorted(ms + [0] * (w.group.rank - len(ms))))

@@ -1,52 +1,43 @@
 """Weyl group elements, Bruhat order, Poincare polynomials.
 
-Elements are canonically represented by their signature: the tuple of images
-of the simple roots (the columns of the matrix of w in the simple-root
-basis).  Words are certificates; the canonical reduced word strips the
-smallest left descent first.
+An element w is stored as the permutation it induces on the roots:
+``perm[i]`` is the index of w(roots[i]) in ``group.roots``, which lists the
+n_pos positive roots (by height) and then their negatives, so a root is
+positive iff its index is below n_pos.  Multiplication is composition of
+index tuples, and the length and the descents are read off the signs of the
+images.  Elements are interned
+per group, so equal elements are the same object.  Words are certificates;
+the canonical reduced word strips the smallest left descent first.
+
+[e, w] is built by the subword property and u <= w is decided by the lifting
+property (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.2.2 and
+Prop 2.2.7).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .linalg import rank as matrix_rank
 from .polynomials import IntPolynomial, q_int, q_integer_factorization  # noqa: F401
-from .rootsys import Root, RootSystem, root_height
-
-
-def _is_negative(vec: Sequence[int]) -> bool:
-    # images of roots are roots: all entries share a sign
-    return sum(vec) < 0
-
-
-def _mul_cols(cols_a, cols_b, n: int):
-    out = []
-    for j in range(n):
-        acc = [0] * n
-        for k, c in enumerate(cols_b[j]):
-            if c:
-                col = cols_a[k]
-                for i in range(n):
-                    acc[i] += c * col[i]
-        out.append(tuple(acc))
-    return tuple(out)
+from .rootsys import Root, RootSystem
 
 
 class WeylElement:
-    __slots__ = ("group", "cols", "inv_cols", "_hash", "_length", "_word")
+    __slots__ = ("group", "perm", "_hash", "_inverse", "_length", "_word")
 
-    def __init__(self, group: "WeylGroup", cols, inv_cols):
+    def __init__(self, group: "WeylGroup", perm: Tuple[int, ...]):
         self.group = group
-        self.cols = cols
-        self.inv_cols = inv_cols
-        self._hash = hash(cols)
+        self.perm = perm
+        self._hash = hash(perm)
+        self._inverse: Optional[WeylElement] = None
         self._length: Optional[int] = None
         self._word: Optional[Tuple[int, ...]] = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, WeylElement) and self.group is other.group
-                                 and self.cols == other.cols)
+                                 and self.perm == other.perm)
 
     def __hash__(self):
         return self._hash
@@ -55,47 +46,39 @@ class WeylElement:
         return f"<{self.group.system.datum.type_label} {list(g + 1 for g in self.word())}>"
 
     def apply(self, beta: Sequence[int]) -> Root:
-        """Image w(beta) for beta in simple-root coordinates."""
-        n = self.group.rank
-        acc = [0] * n
-        for j, b in enumerate(beta):
-            if b:
-                col = self.cols[j]
-                for i in range(n):
-                    acc[i] += b * col[i]
-        return tuple(acc)
-
-    def apply_inverse(self, beta: Sequence[int]) -> Root:
-        n = self.group.rank
-        acc = [0] * n
-        for j, b in enumerate(beta):
-            if b:
-                col = self.inv_cols[j]
-                for i in range(n):
-                    acc[i] += b * col[i]
-        return tuple(acc)
+        """Image w(beta) of a root beta, in simple-root coordinates."""
+        g = self.group
+        return g.roots[self.perm[g.root_index[tuple(beta)]]]
 
     def inverse(self) -> "WeylElement":
-        return self.group.intern(self.inv_cols, self.cols)
+        if self._inverse is None:
+            inv = [0] * len(self.perm)
+            for i, j in enumerate(self.perm):
+                inv[j] = i
+            self._inverse = self.group._intern(tuple(inv))
+            self._inverse._inverse = self
+        return self._inverse
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.mul(self, other)
 
     def length(self) -> int:
+        """Number of positive roots sent to negative roots."""
         if self._length is None:
-            self._length = sum(
-                1 for beta in self.group.system.positive_roots if _is_negative(self.apply(beta))
-            )
+            n_pos = self.group.n_pos
+            self._length = sum(1 for j in self.perm[:n_pos] if j >= n_pos)
         return self._length
 
     def is_identity(self) -> bool:
-        return self is self.group.identity or self.cols == self.group.identity.cols
+        return self is self.group.identity
 
     def right_descents(self) -> FrozenSet[int]:
-        return frozenset(i for i, col in enumerate(self.cols) if _is_negative(col))
+        """s_i with w(alpha_i) negative."""
+        n_pos = self.group.n_pos
+        return frozenset(i for i, k in enumerate(self.group.simple) if self.perm[k] >= n_pos)
 
     def left_descents(self) -> FrozenSet[int]:
-        return frozenset(i for i, col in enumerate(self.inv_cols) if _is_negative(col))
+        return self.inverse().right_descents()
 
     def word(self) -> Tuple[int, ...]:
         """Canonical reduced word (0-based generator indices)."""
@@ -119,20 +102,28 @@ class WeylGroup:
     def __init__(self, system: RootSystem):
         self.system = system
         self.rank = system.rank
-        self._elements: Dict[tuple, WeylElement] = {}
-        n = self.rank
-        ident = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-        self.identity = self.intern(ident, ident)
+        pos = system.positive_roots
+        self.n_pos = len(pos)
+        self.roots: Tuple[Root, ...] = pos + tuple(tuple(-x for x in b) for b in pos)
+        self.root_index: Dict[Root, int] = {b: i for i, b in enumerate(self.roots)}
+        self.simple = tuple(self.root_index[a] for a in system.simple_roots)
+        self._elements: Dict[Tuple[int, ...], WeylElement] = {}
+        self.identity = self._intern(tuple(range(len(self.roots))))
         self.generators = tuple(
-            self.intern(*(2 * (tuple(system.simple_reflect(i, a) for a in system.simple_roots),)))
-            for i in range(n)
+            self._intern(tuple(self.root_index[system.simple_reflect(i, b)] for b in self.roots))
+            for i in range(self.rank)
         )
-        self.reflections = tuple(
-            self.intern(*(2 * (tuple(system.reflect(beta, a) for a in system.simple_roots),)))
-            for beta in system.positive_roots
-        )
+        # t_beta = s_i t_{s_i beta} s_i with s_i beta lower than beta; positive
+        # roots are sorted by height, so lower means a smaller index
+        refl = []
+        for k in range(self.n_pos):
+            if k in self.simple:
+                refl.append(self.generators[self.simple.index(k)])
+            else:
+                s = next(s for s in self.generators if s.perm[k] < k)
+                refl.append(s * refl[s.perm[k]] * s)
+        self.reflections = tuple(refl)
         self._intervals: Dict[WeylElement, FrozenSet[WeylElement]] = {}
-        self._leq_memo: Dict[tuple, bool] = {}
         self._all: Optional[FrozenSet[WeylElement]] = None
 
     @classmethod
@@ -143,20 +134,16 @@ class WeylGroup:
             cls._cache[key] = cls(system)
         return cls._cache[key]
 
-    def intern(self, cols, inv_cols) -> WeylElement:
-        w = self._elements.get(cols)
+    def _intern(self, perm: Tuple[int, ...]) -> WeylElement:
+        w = self._elements.get(perm)
         if w is None:
-            w = WeylElement(self, cols, inv_cols)
-            self._elements[cols] = w
+            w = self._elements[perm] = WeylElement(self, perm)
         return w
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        cols = _mul_cols(a.cols, b.cols, self.rank)
-        w = self._elements.get(cols)
-        if w is None:
-            w = WeylElement(self, cols, _mul_cols(b.inv_cols, a.inv_cols, self.rank))
-            self._elements[cols] = w
-        return w
+        # (ab)(roots[i]) = a(b(roots[i])); itemgetter returns a tuple because
+        # a perm has at least two entries
+        return self._intern(itemgetter(*b.perm)(a.perm))
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
         """Product of generators; 0-based indices; word need not be reduced."""
@@ -175,40 +162,29 @@ class WeylGroup:
     # -- Bruhat order ------------------------------------------------------
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
-        if u.is_identity():
-            return True
-        if u.length() > w.length():
-            return False
-        if u is w:
-            return True
-        key = (u.cols, w.cols)
-        memo = self._leq_memo
-        if key not in memo:
+        """Lifting property: for a left descent s of w, u <= w iff
+        su <= sw when s is a left descent of u, and u <= sw otherwise."""
+        while u is not w:
+            if u.is_identity():
+                return True
+            if u.length() > w.length():
+                return False
             s = min(w.left_descents())
-            sw = self.generators[s] * w
             if s in u.left_descents():
-                memo[key] = self.bruhat_leq(self.generators[s] * u, sw)
-            else:
-                memo[key] = self.bruhat_leq(u, sw)
-        return memo[key]
+                u = self.generators[s] * u
+            w = self.generators[s] * w
+        return True
 
     def bruhat_interval(self, w: WeylElement) -> FrozenSet[WeylElement]:
-        """[e, w] via downward closure along reflection edges."""
+        """[e, w] by the subword property: X <- X u Xs along a reduced word."""
         if w not in self._intervals:
-            pos = self.system.positive_roots
-            refl = self.reflections
-            seen: Set[WeylElement] = {w}
-            stack = [w]
-            while stack:
-                x = stack.pop()
-                for i, beta in enumerate(pos):
-                    # l(t x) < l(x) iff x^{-1}(beta) is negative
-                    if _is_negative(x.apply_inverse(beta)):
-                        tx = self.mul(refl[i], x)
-                        if tx not in seen:
-                            seen.add(tx)
-                            stack.append(tx)
-            self._intervals[w] = frozenset(seen)
+            n_pos = self.n_pos
+            X: Set[WeylElement] = {self.identity}
+            for s in w.word():
+                gen, k = self.generators[s], self.simple[s]
+                # x s < x lies in X already, since X is a lower interval
+                X.update([self.mul(x, gen) for x in X if x.perm[k] < n_pos])
+            self._intervals[w] = frozenset(X)
         return self._intervals[w]
 
     def elements(self) -> FrozenSet[WeylElement]:
@@ -310,8 +286,9 @@ def parabolic_decomposition(w: WeylElement, J: Iterable[int], side: str = "left"
 
 
 def absolute_length(w: WeylElement) -> int:
-    n = w.group.rank
-    rows = [tuple(w.cols[j][i] - int(i == j) for j in range(n)) for i in range(n)]
+    # rank of w - 1, read off its columns w(alpha_j) - alpha_j
+    rows = [tuple(x - int(i == j) for i, x in enumerate(w.apply(a)))
+            for j, a in enumerate(w.group.system.simple_roots)]
     return matrix_rank(rows)
 
 
@@ -321,8 +298,6 @@ def bruhat_graph_distance(u: WeylElement, w: WeylElement) -> Optional[int]:
     if not g.bruhat_leq(u, w):
         return None
     interval = g.bruhat_interval(w)
-    pos = g.system.positive_roots
-    refl = g.reflections
     dist = {u: 0}
     frontier = [u]
     d = 0
@@ -332,9 +307,10 @@ def bruhat_graph_distance(u: WeylElement, w: WeylElement) -> Optional[int]:
         d += 1
         nxt = []
         for x in frontier:
-            for i, beta in enumerate(pos):
-                if not _is_negative(x.apply_inverse(beta)):  # l(t x) > l(x)
-                    tx = g.mul(refl[i], x)
+            inv = x.inverse().perm
+            for t, j in zip(g.reflections, inv):
+                if j < g.n_pos:  # l(t x) > l(x) iff x^-1(beta) is positive
+                    tx = g.mul(t, x)
                     if tx not in dist and tx in interval:
                         dist[tx] = d
                         nxt.append(tx)

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import weylinv
 from weylinv.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(weylinv.__file__)))
 
 
 def run(capsys, *argv):
@@ -74,8 +82,30 @@ def test_bad_word_exit_code(capsys):
 
 
 def test_threads_validation(capsys):
-    assert run(capsys, "--threads", "0", "analyze", "A3", "1")[0] == 2
-    assert run(capsys, "--threads", "4", "analyze", "A3", "1")[0] == 0
+    # --threads did nothing and is gone: argparse refuses it as unknown
+    for argv in (["--threads", "4", "analyze", "A3", "1"],
+                 ["analyze", "A3", "1", "--threads", "4"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "weylinv: error:" in capsys.readouterr().err
+
+
+def fresh_process(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "weylinv.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; later calls must not see earlier ones
+    calls = [("analyze", "B3", "3", "2", "3", "--json"),
+             ("audit", "A2", "--checks", "hlss", "--json"),
+             ("patterns", "A3", "2", "1", "3", "2", "--json"),
+             ("analyze", "A3", "1")]
+    for argv in calls:
+        assert run(capsys, *argv) == fresh_process(*argv)
 
 
 def test_audit_small_group(capsys):

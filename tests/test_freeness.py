@@ -64,6 +64,21 @@ def test_certificates_are_deterministic():
     assert c1 == c2
 
 
+def test_certificates_do_not_depend_on_the_other_order():
+    g = WeylGroup.get("B3")
+    A = inversion_arrangement(longest_element(g))
+    certs = {}
+    for first, second in (("height", "lex"), ("lex", "height")):
+        clear_memo()
+        c1 = inductively_free(A, order=first, with_certificate=True).certificate
+        c2 = inductively_free(A, order=second, with_certificate=True).certificate
+        certs.setdefault(first, []).append(c1)
+        certs.setdefault(second, []).append(c2)
+    assert certs["lex"][0] == certs["lex"][1]
+    assert certs["height"][0] == certs["height"][1]
+    assert certs["lex"] != certs["height"]
+
+
 def test_pivot_not_in_arrangement_rejected():
     g = WeylGroup.get("A3")
     A = inversion_arrangement(longest_element(g))

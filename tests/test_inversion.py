@@ -27,7 +27,8 @@ def test_inversion_set_matches_direct_definition(name):
     g = WeylGroup.get(name)
     for w in g.elements():
         inv = inversion_set(w)
-        direct = {b for b in g.system.positive_roots if sum(w.apply_inverse(b)) < 0}
+        winv = w.inverse()
+        direct = {b for b in g.system.positive_roots if sum(winv.apply(b)) < 0}
         assert inv.as_set() == direct
         assert len(inv) == w.length()
 

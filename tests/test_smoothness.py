@@ -106,9 +106,13 @@ def test_no_complete_chain_bp_for_3412():
     assert complete_chain_bp(w) is None
 
 
+def simple_images(w):
+    return [w.apply(a) for a in w.group.system.simple_roots]
+
+
 def test_elements_of_different_groups_are_unequal():
     d4, b4 = WeylGroup.get("D4"), WeylGroup.get("B4")
-    assert d4.identity.cols == b4.identity.cols
+    assert simple_images(d4.identity) == simple_images(b4.identity)
     assert d4.identity != b4.identity
     assert len({d4.identity, b4.identity}) == 2
 
@@ -117,7 +121,7 @@ def test_complete_chain_bp_does_not_depend_on_other_groups():
     # same simple-root images in both groups; only the D4 element has no tree
     d4w = WeylGroup.get("D4").from_word([1, 0, 2, 1, 0, 3, 1, 0, 2, 1, 3])
     b4w = WeylGroup.get("B4").from_word([1, 0, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 3, 2, 3])
-    assert d4w.cols == b4w.cols
+    assert simple_images(d4w) == simple_images(b4w)
     smoothness._complete_fail.clear()
     fresh = complete_chain_bp(b4w) is not None
     smoothness._complete_fail.clear()
@@ -183,6 +187,19 @@ def test_exceptional_element_e6_matches_factorization():
     w = exceptional_element(6, 5)
     assert w.length() == 28
     assert exceptional_exponents(6, 5) == (1, 4, 4, 5, 7, 7)
+
+
+def test_exceptional_element_e7_interval_counted_directly():
+    # Table 1's E7 row by enumerating all 230 400 elements of [e, w_75],
+    # not through the coset formula; the group is dropped afterwards so
+    # that the interval does not stay in memory for the rest of the run
+    w = exceptional_element(7, 5)
+    try:
+        P = poincare(w)
+        assert P(1) == 230400
+        assert P == exceptional_poincare(7, 5)
+    finally:
+        del WeylGroup._cache[id(w.group.system)]
 
 
 # -- HLSS --------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import matrix_weyl as ref
 from weylinv.polynomials import q_int, product
 from weylinv.weyl import (
     WeylGroup, absolute_length, bruhat_graph_distance, bruhat_interval,
@@ -165,3 +166,50 @@ def test_bruhat_graph_distance_basics():
     # incomparable pair: distance is None
     t = g.generators[2]
     assert bruhat_graph_distance(s, t) is None
+
+
+# -- differential tests against the matrix model ----------------------------
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4", "E6"])
+def test_reflections_agree_with_root_system_reflect(name):
+    g = WeylGroup.get(name)
+    system = g.system
+    assert len(g.reflections) == len(system.positive_roots)
+    for beta, t in zip(system.positive_roots, g.reflections):
+        for root in g.roots:
+            assert t.apply(root) == system.reflect(beta, root)
+        assert g.reflection_of(beta) is t
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4"])
+def test_mul_agrees_with_matrix_product(name):
+    g = WeylGroup.get(name)
+    els = sorted(g.elements(), key=lambda x: (x.length(), x.word()))
+    rng = random.Random(3)
+    for _ in range(200):
+        a, b = rng.choice(els), rng.choice(els)
+        assert ref.cols_of(a * b) == ref.mul(ref.cols_of(a), ref.cols_of(b))
+        assert ref.cols_of(a.inverse()) == ref.inverse(ref.cols_of(a))
+
+
+def _check_interval_against_closure(g, w):
+    got = {ref.cols_of(x) for x in bruhat_interval(w)}
+    assert len(got) == len(bruhat_interval(w))
+    assert got == ref.interval(g.system, ref.cols_of(w))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_bruhat_interval_matches_reflection_closure(name):
+    g = WeylGroup.get(name)
+    for w in g.elements():
+        _check_interval_against_closure(g, w)
+
+
+@pytest.mark.parametrize("name,count", [("D4", 25), ("F4", 12)])
+def test_bruhat_interval_matches_reflection_closure_sampled(name, count):
+    g = WeylGroup.get(name)
+    els = sorted(g.elements(), key=lambda x: (x.length(), x.word()))
+    rng = random.Random(7)
+    for w in rng.sample(els, count) + [longest_element(g)]:
+        _check_interval_against_closure(g, w)
