@@ -7,6 +7,7 @@ from .arrangement import (
     is_modular_coatom, is_supersolvable, localization, nbc_counts_by_size,
     nbc_sets, poincare_polynomial, quotient_by_center, restriction,
 )
+from .cache import clear_caches
 from .freeness import (
     FreenessResult, freeness_certificate, inductively_free,
     modular_coatom_freeness, verify_certificate,

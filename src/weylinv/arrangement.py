@@ -8,8 +8,9 @@ functionals.  All computations are exact over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .cache import cached
 from .linalg import Eliminator, kernel_basis, pivot_columns, primitive, rank as matrix_rank
 from .polynomials import IntPolynomial
 
@@ -154,6 +155,7 @@ def nbc_counts_by_size(A: Arrangement, order: Optional[Sequence[Normal]] = None)
     return counts or [1]
 
 
+@cached
 def poincare_polynomial(A: Arrangement) -> IntPolynomial:
     return IntPolynomial(nbc_counts_by_size(A))
 
@@ -202,22 +204,17 @@ def is_modular_coatom(A: Arrangement, X: Flat) -> bool:
     return True
 
 
-_ss_memo: Dict[Tuple[int, Tuple[Normal, ...]], Optional[Tuple[FrozenSet[Normal], ...]]] = {}
-
-
 def is_supersolvable(A: Arrangement):
     """(True, witness chain) or (False, None).
 
     The witness lists, outermost first, the hyperplane normals of the
     localization at each successive modular coatom.
     """
-    key = (A.dim, A.normals)
-    if key not in _ss_memo:
-        _ss_memo[key] = _supersolvable_chain(A)
-    chain = _ss_memo[key]
+    chain = _supersolvable_chain(A)
     return (True, chain) if chain is not None else (False, None)
 
 
+@cached
 def _supersolvable_chain(A: Arrangement):
     if A.rank() <= 2:
         return ()

@@ -1,27 +1,27 @@
 """Command-line front end.
 
 Words are 1-based: ``weylinv analyze A3 2 3 2 1`` means s2 s3 s2 s1.  Exit
-codes: 0 ok, 2 input error, 3 unknown root system, 4 guard/budget refusal,
-5 certificate verification reject.
+codes: 0 ok, 2 input error, 3 unknown root system, 4 guard refusal (audit
+group size, analyze interval bound), 5 certificate verification reject.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import List, Optional, Sequence
 
 from .arrangement import is_supersolvable, poincare_polynomial
+from .cache import cached
 from .freeness import inductively_free, verify_certificate
 from .inversion import inversion_arrangement
 from .polynomials import linear_split
 from .rootsys import RootSystem
 from .smoothness import (
-    ALL_CHECKS, PATTERNS, avoids_perm_pattern, complete_chain_bp, contains_pattern,
-    exceptional_element, exceptional_exponents, exponents_of, hlss,
-    inversion_graph, is_chordal, perm_of, theorem_audit,
+    ALL_CHECKS, AUDIT_GUARD, PATTERNS, avoids_perm_pattern, complete_chain_bp,
+    contains_pattern, exceptional_element, exceptional_exponents, exponents_of, hlss,
+    inversion_graph, is_chordal, parabolic_poincare, perm_of, theorem_audit,
 )
 from .weyl import WeylGroup, poincare
 
@@ -66,6 +66,10 @@ def _emit(obj: dict, as_json: bool):
 def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> dict:
     g = _group(system_id)
     w = _element(g, word1)
+    # |[e, w]| <= min(2^l(w), |W_J|) for J = supp(w); refuse before building it
+    bound = min(2 ** w.length(), parabolic_poincare(g.system, w.support())(1))
+    if bound > AUDIT_GUARD:
+        raise CLIError(EXIT_GUARD, f"[e, w] may have up to {bound} > {AUDIT_GUARD} elements")
     P = poincare(w)
     exps = exponents_of(w)
     A = inversion_arrangement(w)
@@ -202,9 +206,6 @@ def cmd_certify(args) -> int:
     w = _element(g, args.word)
     A = inversion_arrangement(w)
     res = inductively_free(A, order=args.order, with_certificate=True)
-    if res.status == "undetermined":
-        print("search exceeded its memo budget", file=sys.stderr)
-        return EXIT_GUARD
     if res.status != "free":
         print(f"not inductively free (Q splits: {res.q_splits})", file=sys.stderr)
         return EXIT_REJECT
@@ -282,9 +283,9 @@ def cmd_patterns(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args returns a fresh namespace."""
+    """The parser, built once and cached; parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="weylinv",
         description="Inversion hyperplane arrangements of Weyl group elements "

@@ -5,7 +5,6 @@ freeness certificates.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -14,10 +13,9 @@ from .arrangement import (
     Arrangement, Flat, deletion, is_modular_coatom, localization,
     poincare_polynomial, quotient_by_center, restriction,
 )
+from .cache import CACHE_SIZE
 from .linalg import pivot_columns, primitive, rank as matrix_rank
 from .polynomials import IntPolynomial, linear_split
-
-DEFAULT_MEMO_CAP = 10 ** 6
 
 FREE = "free"
 NOT_INDUCTIVELY_FREE = "not_inductively_free"
@@ -38,28 +36,20 @@ class FreenessResult:
 
 
 class _Search:
-    """One memo table; shared across calls via the module-level instance."""
+    """Memo of decided arrangements. Without a budget it is the shared,
+    process-wide instance, emptied when it reaches CACHE_SIZE entries; with
+    one it is fresh per call and gives up once it holds `budget` entries."""
 
-    def __init__(self):
+    def __init__(self, budget: Optional[int] = None):
         self.memo: Dict[tuple, tuple] = {}   # key -> (status, ess_exps, pivot)
-        self.q_cache: Dict[tuple, IntPolynomial] = {}
-
-    def clear(self):
-        self.memo.clear()
-        self.q_cache.clear()
-
-    def q(self, ess: Arrangement) -> IntPolynomial:
-        key = (ess.dim, ess.normals)
-        if key not in self.q_cache:
-            self.q_cache[key] = poincare_polynomial(ess)
-        return self.q_cache[key]
+        self.budget = budget
 
     def pivot_order(self, ess: Arrangement, order: str) -> List[tuple]:
         if order == "height":
             return sorted(ess.normals, key=lambda v: (-sum(abs(x) for x in v), v))
         return list(ess.normals)
 
-    def decide(self, A: Arrangement, cap: int, order: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
+    def decide(self, A: Arrangement, order: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
         """(status, essential coexponents) for the essentialization of A."""
         ess = quotient_by_center(A)
         l = ess.dim
@@ -72,14 +62,14 @@ class _Search:
         hit = self.memo.get(key)
         if hit is not None:
             return hit[0], hit[1]
-        if len(self.memo) >= cap:
+        if self.budget is not None and len(self.memo) >= self.budget:
             # over budget: give up instead of re-deriving without the memo
             return UNDETERMINED, None
 
-        q = self.q(ess)
+        q = poincare_polynomial(ess)
         roots = linear_split(q)
         if roots is None:
-            return self._store(key, cap, NOT_INDUCTIVELY_FREE, None, None)
+            return self._store(key, NOT_INDUCTIVELY_FREE, None, None)
 
         target = Counter(roots)
         undetermined = False
@@ -97,26 +87,26 @@ class _Search:
             e = next(iter(extra))
             if Counter(mres) + Counter([e + 1]) != target:
                 continue
-            s1, x1 = self.decide(del_A, cap, order)
+            s1, x1 = self.decide(del_A, order)
             if s1 == UNDETERMINED:
                 undetermined = True
                 continue
             if s1 != FREE or Counter(self._pad(x1, l)) != Counter(mdel):
                 continue
-            s2, x2 = self.decide(res_A, cap, order)
+            s2, x2 = self.decide(res_A, order)
             if s2 == UNDETERMINED:
                 undetermined = True
                 continue
             if s2 != FREE or Counter(self._pad(x2, l - 1)) != Counter(mres):
                 continue
-            return self._store(key, cap, FREE, tuple(roots), pivot)
+            return self._store(key, FREE, tuple(roots), pivot)
         if undetermined:
             return UNDETERMINED, None
-        return self._store(key, cap, NOT_INDUCTIVELY_FREE, None, None)
+        return self._store(key, NOT_INDUCTIVELY_FREE, None, None)
 
-    def _padded_split(self, child: Arrangement, width: int):
-        ess = quotient_by_center(child)
-        roots = linear_split(self.q(ess))
+    @staticmethod
+    def _padded_split(child: Arrangement, width: int):
+        roots = linear_split(poincare_polynomial(quotient_by_center(child)))
         if roots is None:
             return None
         return sorted(roots + [0] * (width - len(roots)))
@@ -125,57 +115,48 @@ class _Search:
     def _pad(ess_exps: Tuple[int, ...], width: int):
         return sorted(list(ess_exps) + [0] * (width - len(ess_exps)))
 
-    def _store(self, key, cap, status, exps, pivot):
-        if len(self.memo) >= cap:
-            return UNDETERMINED, None
+    def _store(self, key, status, exps, pivot):
+        if len(self.memo) >= (CACHE_SIZE if self.budget is None else self.budget):
+            if self.budget is not None:
+                return UNDETERMINED, None
+            self.memo.clear()   # entries are pure, so any of them may go
         self.memo[key] = (status, exps, pivot)
         return status, exps
 
-    def certificate(self, A: Arrangement, cap: int, order: str):
+    def certificate(self, A: Arrangement, order: str):
         """Nested pivot tree (None = leaf) for an arrangement already decided free."""
         ess = quotient_by_center(A)
         if ess.dim <= 2:
             return None
-        status, _ = self.decide(ess, cap, order)
+        status, _ = self.decide(ess, order)
         if status != FREE:
             raise ValueError("arrangement is not known to be inductively free")
         pivot = self.memo[(order, ess.dim, ess.normals)][2]
         return {
             "pivot": list(pivot),
-            "del": self.certificate(deletion(ess, pivot), cap, order),
-            "res": self.certificate(restriction(ess, pivot), cap, order),
+            "del": self.certificate(deletion(ess, pivot), order),
+            "res": self.certificate(restriction(ess, pivot), order),
         }
 
 
 _search = _Search()
 
 
-def clear_memo():
-    _search.clear()
-
-
-def memo_cap(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("WEYLINV_MEMO_CAP")
-    return int(env) if env else DEFAULT_MEMO_CAP
-
-
 def inductively_free(A: Arrangement, budget: Optional[int] = None,
                      order: str = "lex", with_certificate: bool = False) -> FreenessResult:
-    cap = memo_cap(budget)
+    search = _search if budget is None else _Search(budget)
     q = poincare_polynomial(A)
     splits = linear_split(q) is not None
-    status, ess_exps = _search.decide(A, cap, order)
+    status, ess_exps = search.decide(A, order)
     if status == FREE:
         padded = tuple(sorted(list(ess_exps) + [0] * (A.dim - matrix_rank(A.normals))))
-        cert = _search.certificate(A, cap, order) if with_certificate else None
+        cert = search.certificate(A, order) if with_certificate else None
         return FreenessResult(FREE, padded, q, splits, cert)
     return FreenessResult(status, None, q, splits, None)
 
 
 def freeness_certificate(A: Arrangement, budget: Optional[int] = None, order: str = "lex"):
-    return _search.certificate(A, memo_cap(budget), order)
+    return (_search if budget is None else _Search(budget)).certificate(A, order)
 
 
 # -- independent verifier --------------------------------------------------

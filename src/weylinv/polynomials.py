@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
+from .cache import cached
+
 
 class IntPolynomial:
     """Immutable dense integer-coefficient polynomial."""
@@ -105,18 +107,14 @@ def product(polys) -> IntPolynomial:
     return acc
 
 
-_cyclotomic_cache = {1: IntPolynomial((-1, 1))}
-
-
+@cached
 def cyclotomic(d: int) -> IntPolynomial:
     """The d-th cyclotomic polynomial, via q^d - 1 = prod_{e | d} Phi_e."""
-    if d not in _cyclotomic_cache:
-        num = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
-        for e in range(1, d):
-            if d % e == 0:
-                num = num.divide_exact(cyclotomic(e))
-        _cyclotomic_cache[d] = num
-    return _cyclotomic_cache[d]
+    num = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
+    for e in range(1, d):
+        if d % e == 0:
+            num = num.divide_exact(cyclotomic(e))
+    return num
 
 
 def q_integer_factorization(p: IntPolynomial):

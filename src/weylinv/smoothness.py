@@ -11,8 +11,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from .arrangement import (
     Arrangement, flat_of, is_modular_coatom, is_supersolvable, matroid_rank,
-    nbc_counts_by_size, poincare_polynomial,
+    poincare_polynomial,
 )
+from .cache import cached
 from .inversion import flatten, inversion_arrangement, inversion_set
 from .linalg import rank as matrix_rank, rref
 from .polynomials import IntPolynomial, product, q_int, q_integer_factorization
@@ -125,19 +126,14 @@ def find_chain_bp(w: WeylElement) -> Optional[BPDecomposition]:
     return next(chain_bp_candidates(w), None)
 
 
-_complete_fail: Set[WeylElement] = set()
-
-
+@cached
 def complete_chain_bp(w: WeylElement) -> Optional[ChainBPTree]:
     if w.is_identity():
         return ChainBPTree(None, None)
-    if w in _complete_fail:
-        return None
     for dec in chain_bp_candidates(w):
         inner = complete_chain_bp(dec.u)
         if inner is not None:
             return ChainBPTree(dec, inner)
-    _complete_fail.add(w)
     return None
 
 
@@ -214,7 +210,7 @@ def exceptional_exponents(k: int, l: int) -> Tuple[int, ...]:
 
 def hlss(w: WeylElement) -> bool:
     """NBC sets of the inversion arrangement vs the Bruhat interval size."""
-    nbc = sum(nbc_counts_by_size(inversion_arrangement(w)))
+    nbc = poincare_polynomial(inversion_arrangement(w))(1)
     return nbc == len(w.group.bruhat_interval(w))
 
 

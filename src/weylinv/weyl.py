@@ -19,6 +19,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
+from .cache import cached
 from .linalg import rank as matrix_rank
 from .polynomials import IntPolynomial, q_int, q_integer_factorization  # noqa: F401
 from .rootsys import Root, RootSystem
@@ -97,7 +98,7 @@ class WeylElement:
 
 
 class WeylGroup:
-    _cache: Dict[object, "WeylGroup"] = {}
+    _cache: Dict[object, "WeylGroup"] = {}   # emptied by clear_caches
 
     def __init__(self, system: RootSystem):
         self.system = system
@@ -123,8 +124,6 @@ class WeylGroup:
                 s = next(s for s in self.generators if s.perm[k] < k)
                 refl.append(s * refl[s.perm[k]] * s)
         self.reflections = tuple(refl)
-        self._intervals: Dict[WeylElement, FrozenSet[WeylElement]] = {}
-        self._all: Optional[FrozenSet[WeylElement]] = None
 
     @classmethod
     def get(cls, name_or_system) -> "WeylGroup":
@@ -175,31 +174,29 @@ class WeylGroup:
             w = self.generators[s] * w
         return True
 
+    @cached
     def bruhat_interval(self, w: WeylElement) -> FrozenSet[WeylElement]:
         """[e, w] by the subword property: X <- X u Xs along a reduced word."""
-        if w not in self._intervals:
-            n_pos = self.n_pos
-            X: Set[WeylElement] = {self.identity}
-            for s in w.word():
-                gen, k = self.generators[s], self.simple[s]
-                # x s < x lies in X already, since X is a lower interval
-                X.update([self.mul(x, gen) for x in X if x.perm[k] < n_pos])
-            self._intervals[w] = frozenset(X)
-        return self._intervals[w]
+        n_pos = self.n_pos
+        X: Set[WeylElement] = {self.identity}
+        for s in w.word():
+            gen, k = self.generators[s], self.simple[s]
+            # x s < x lies in X already, since X is a lower interval
+            X.update([self.mul(x, gen) for x in X if x.perm[k] < n_pos])
+        return frozenset(X)
 
+    @cached
     def elements(self) -> FrozenSet[WeylElement]:
-        if self._all is None:
-            seen: Set[WeylElement] = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                x = frontier.pop()
-                for g in self.generators:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            self._all = frozenset(seen)
-        return self._all
+        seen: Set[WeylElement] = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            x = frontier.pop()
+            for g in self.generators:
+                y = self.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return frozenset(seen)
 
     def order(self) -> int:
         return len(self.elements())

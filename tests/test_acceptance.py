@@ -14,7 +14,8 @@ from weylinv.arrangement import (
     Arrangement, deletion, flat_of, is_modular_coatom, is_supersolvable,
     nbc_counts_by_size, poincare_polynomial, restriction,
 )
-from weylinv.freeness import clear_memo, inductively_free, verify_certificate
+from weylinv.cache import clear_caches
+from weylinv.freeness import inductively_free, verify_certificate
 from weylinv.inversion import (
     flatten, inversion_arrangement, inversion_set, is_convex_order, phi,
 )
@@ -273,7 +274,7 @@ def _certificate_nodes(cert, path=()):
 
 def test_criterion_10_certificate_fuzz():
     with criterion(10):
-        clear_memo()
+        clear_caches()
         bases = []
         for name in ("A3", "A4", "B3", "D4"):
             g = WeylGroup.get(name)

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import weylinv
 from weylinv.cli import main
+from weylinv.weyl import WeylGroup, longest_element
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(weylinv.__file__)))
 
@@ -121,6 +123,31 @@ def test_audit_guard_refuses_large_group(capsys):
     code, _, err = run(capsys, "audit", "E8")
     assert code == 4
     assert "override" in err
+
+
+def test_analyze_guard_refuses_large_interval(capsys):
+    # [e, w0] of E8 has |W(E8)| = 696729600 elements; refused before it is built
+    word = [str(s + 1) for s in longest_element(WeylGroup.get("E8")).word()]
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "analyze", "E8", *word)
+    assert time.monotonic() - t0 < 30
+    assert code == 4
+    assert out == ""
+    assert "100000" in err
+
+
+def test_analyze_guard_admits_small_interval(capsys, monkeypatch):
+    # [e, s1 ... s8] has at most 2^8 elements, so the guard lets it through to
+    # the interval; the test stops there, as the full report takes far longer
+    class Reached(Exception):
+        pass
+
+    def stop(w):
+        raise Reached
+
+    monkeypatch.setattr("weylinv.cli.poincare", stop)
+    with pytest.raises(Reached):
+        main(["analyze", "E8", "1", "2", "3", "4", "5", "6", "7", "8"])
 
 
 def test_tables_short(capsys):

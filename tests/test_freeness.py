@@ -4,9 +4,9 @@ import random
 import pytest
 
 from weylinv.arrangement import Arrangement, flat_of
+from weylinv.cache import clear_caches
 from weylinv.freeness import (
-    clear_memo, freeness_certificate, inductively_free, modular_coatom_freeness,
-    verify_certificate,
+    _search, freeness_certificate, inductively_free, modular_coatom_freeness, verify_certificate,
 )
 from weylinv.inversion import inversion_arrangement, inversion_set
 from weylinv.polynomials import IntPolynomial, linear_split
@@ -59,7 +59,7 @@ def test_certificates_are_deterministic():
     g = WeylGroup.get("B3")
     A = inversion_arrangement(longest_element(g))
     c1 = freeness_certificate(A)
-    clear_memo()
+    clear_caches()
     c2 = freeness_certificate(A)
     assert c1 == c2
 
@@ -69,7 +69,7 @@ def test_certificates_do_not_depend_on_the_other_order():
     A = inversion_arrangement(longest_element(g))
     certs = {}
     for first, second in (("height", "lex"), ("lex", "height")):
-        clear_memo()
+        clear_caches()
         c1 = inductively_free(A, order=first, with_certificate=True).certificate
         c2 = inductively_free(A, order=second, with_certificate=True).certificate
         certs.setdefault(first, []).append(c1)
@@ -110,12 +110,25 @@ def test_addition_violation_rejected():
 
 
 def test_budget_returns_undetermined():
-    clear_memo()
+    clear_caches()
     g = WeylGroup.get("A4")
     A = inversion_arrangement(longest_element(g))
     res = inductively_free(A, budget=1)
     assert res.status == "undetermined"
-    clear_memo()
+    clear_caches()
+
+
+def test_budget_depends_only_on_its_inputs():
+    # a budget bounds the call's own memo, so what ran before cannot change it
+    A = inversion_arrangement(longest_element(WeylGroup.get("B3")))
+    clear_caches()
+    assert inductively_free(A, budget=5).status == "undetermined"
+    full = inductively_free(A, with_certificate=True)
+    shared = dict(_search.memo)
+    assert inductively_free(A, budget=5).status == "undetermined"
+    assert _search.memo == shared
+    assert inductively_free(A, budget=10 ** 6, with_certificate=True) == full
+    assert full.free and full.certificate is not None
 
 
 def test_modular_coatom_freeness_a3():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from weylinv import smoothness
 from weylinv.arrangement import is_supersolvable, poincare_polynomial, Arrangement
+from weylinv.cache import clear_caches
 from weylinv.inversion import flatten, inversion_arrangement, inversion_set
 from weylinv.linalg import rank as matrix_rank
 from weylinv.freeness import inductively_free
@@ -122,9 +122,9 @@ def test_complete_chain_bp_does_not_depend_on_other_groups():
     d4w = WeylGroup.get("D4").from_word([1, 0, 2, 1, 0, 3, 1, 0, 2, 1, 3])
     b4w = WeylGroup.get("B4").from_word([1, 0, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 3, 2, 3])
     assert simple_images(d4w) == simple_images(b4w)
-    smoothness._complete_fail.clear()
+    clear_caches()
     fresh = complete_chain_bp(b4w) is not None
-    smoothness._complete_fail.clear()
+    clear_caches()
     assert complete_chain_bp(d4w) is None
     assert (complete_chain_bp(b4w) is not None) == fresh
     assert fresh
@@ -199,7 +199,7 @@ def test_exceptional_element_e7_interval_counted_directly():
         assert P(1) == 230400
         assert P == exceptional_poincare(7, 5)
     finally:
-        del WeylGroup._cache[id(w.group.system)]
+        clear_caches()
 
 
 # -- HLSS --------------------------------------------------------------------
