@@ -20,7 +20,7 @@ from .polynomials import IntPolynomial, linear_split, q_int, q_integer_factoriza
 from .rootsys import CartanDatum, RootSystem, Subsystem, cartan_datum, subsystem
 from .smoothness import (
     BPDecomposition, ChainBPTree, complete_chain_bp, contains_pattern,
-    exceptional_element, exponents_of, find_chain_bp, hlss, is_bp,
+    exceptional_element, exponents_of, find_chain_bp, hlss, is_bp, pattern_hits,
     rationally_smooth, theorem_audit, tree_exponents,
 )
 from .weyl import (

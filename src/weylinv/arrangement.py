@@ -50,9 +50,6 @@ class Flat:
     subspace: Tuple[Tuple, ...]          # RREF basis rows of the subspace
     contains: FrozenSet[int]             # closed set of hyperplane indices
 
-    def rank_in(self, A: Arrangement) -> int:
-        return A.dim - len(self.subspace)
-
 
 def _closure(A: Arrangement, indices: Iterable[int]) -> FrozenSet[int]:
     elim = Eliminator()

@@ -17,11 +17,10 @@ from .cache import cached
 from .freeness import inductively_free, verify_certificate
 from .inversion import inversion_arrangement
 from .polynomials import linear_split
-from .rootsys import RootSystem
 from .smoothness import (
     ALL_CHECKS, AUDIT_GUARD, PATTERNS, avoids_perm_pattern, complete_chain_bp,
-    contains_pattern, exceptional_element, exceptional_exponents, exponents_of, hlss,
-    inversion_graph, is_chordal, parabolic_poincare, perm_of, theorem_audit,
+    exceptional_element, exceptional_exponents, exponents_of, hlss, inversion_graph,
+    is_chordal, parabolic_poincare, pattern_hits, perm_of, theorem_audit,
 )
 from .weyl import WeylGroup, poincare
 
@@ -76,10 +75,6 @@ def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> 
     res = inductively_free(A, order=order)
     ss, _ = is_supersolvable(A)
     tree = complete_chain_bp(w)
-    hits = sorted(
-        pid for pid, pat in PATTERNS.items()
-        if RootSystem.get(pat.realizations[0]).rank <= g.rank and contains_pattern(w, pid)
-    )
     return {
         "system": system_id,
         "word": [s + 1 for s in w.word()],
@@ -97,7 +92,7 @@ def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> 
         "coexponents": list(res.coexponents) if res.coexponents is not None else None,
         "supersolvable": ss,
         "chain_bp_tree": _tree_obj(tree) if tree is not None else None,
-        "pattern_hits": hits,
+        "pattern_hits": sorted(pattern_hits(w)),
     }
 
 

@@ -17,7 +17,7 @@ from .cache import cached
 from .inversion import flatten, inversion_arrangement, inversion_set
 from .linalg import rank as matrix_rank, rref
 from .polynomials import IntPolynomial, product, q_int, q_integer_factorization
-from .rootsys import RootSystem, cartan_isomorphisms, root_height
+from .rootsys import RootSystem, Subsystem, cartan_isomorphisms, root_height
 from .weyl import (
     WeylElement, WeylGroup, absolute_length, bruhat_graph_distance, coset_poincare,
     is_palindromic, longest_element, parabolic_decomposition, poincare,
@@ -267,43 +267,54 @@ PATTERNS: Dict[str, Pattern] = {
 }
 
 
-def _root_subspaces(system: RootSystem, r: int):
-    """RREF bases of all r-dimensional subspaces spanned by positive roots."""
+def _inversion_subspaces(inv: Sequence[tuple], r: int):
+    """RREF bases of all r-dimensional subspaces spanned by the roots inv."""
     seen: Dict[tuple, tuple] = {}
-    for subset in itertools.combinations(system.positive_roots, r):
+    for subset in itertools.combinations(inv, r):
         key = rref(subset)
         if len(key) == r and key not in seen:
             seen[key] = subset
     return seen.values()
 
 
+def _flattening_is(fl: WeylElement, sub: Subsystem, pat: Pattern) -> bool:
+    """Whether the flattening fl, of type sub, is pat up to a Cartan isomorphism."""
+    target = RootSystem.get(sub.type_string)
+    pattern_elt = pat.element(sub.type_string)
+    word = fl.word()
+    return any(pattern_elt.group.from_word([p[s] for s in word]) == pattern_elt
+               for p in cartan_isomorphisms(sub.datum.cartan_matrix, target.datum.cartan_matrix))
+
+
+@cached
+def pattern_hits(w: WeylElement) -> FrozenSet[str]:
+    """Ids of the patterns that w contains.
+
+    Every pattern has full support in its rank-r system, so the flattening of
+    w to a subspace U can be a pattern only if I(w) cap U spans U: the
+    subspaces spanned by r inversions of w are the only ones to scan, and
+    each is flattened once for all patterns."""
+    inv = tuple(sorted(inversion_set(w).roots))
+    hits = set()
+    for r in sorted({RootSystem.get(p.realizations[0]).rank for p in PATTERNS.values()}):
+        for basis in _inversion_subspaces(inv, r):
+            fl, sub = flatten(w, basis)
+            hits.update(pid for pid, pat in PATTERNS.items()
+                        if sub.type_string in pat.realizations and _flattening_is(fl, sub, pat))
+    return frozenset(hits)
+
+
 def contains_pattern(w: WeylElement, pattern_id: str) -> bool:
     if pattern_id not in PATTERNS:
         raise KeyError(f"unknown pattern id: {pattern_id}")
-    pat = PATTERNS[pattern_id]
-    r = RootSystem.get(pat.realizations[0]).rank
-    system = w.group.system
-    if system.rank < r:
-        return False
-    for basis in _root_subspaces(system, r):
-        fl, sub = flatten(w, basis)
-        if sub.type_string not in pat.realizations:
-            continue
-        target = RootSystem.get(sub.type_string)
-        pattern_elt = pat.element(sub.type_string)
-        word = fl.word()
-        for p in cartan_isomorphisms(sub.datum.cartan_matrix, target.datum.cartan_matrix):
-            mapped = pattern_elt.group.from_word([p[s] for s in word])
-            if mapped == pattern_elt:
-                return True
-    return False
+    return pattern_id in pattern_hits(w)
 
 
 def rationally_smooth(w: WeylElement, method: str = "palindromic") -> bool:
     if method == "palindromic":
         return is_palindromic(poincare(w))
     if method == "patterns":
-        return not any(contains_pattern(w, pid) for pid in PATTERNS)
+        return not pattern_hits(w)
     raise ValueError("method must be 'palindromic' or 'patterns'")
 
 

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .cache import cached
 from .linalg import rank as matrix_rank
-from .polynomials import IntPolynomial, q_int, q_integer_factorization  # noqa: F401
+from .polynomials import IntPolynomial
 from .rootsys import Root, RootSystem
 
 

@@ -32,7 +32,7 @@ def test_the_cached_functions():
     assert sorted(cached_functions()) == [
         "arrangement._supersolvable_chain", "arrangement.poincare_polynomial",
         "cli.build_parser", "polynomials.cyclotomic", "smoothness.complete_chain_bp",
-        "weyl.WeylGroup.bruhat_interval", "weyl.WeylGroup.elements",
+        "smoothness.pattern_hits", "weyl.WeylGroup.bruhat_interval", "weyl.WeylGroup.elements",
     ]
     for fn in cached_functions().values():
         assert fn.cache_info().maxsize == CACHE_SIZE

@@ -136,18 +136,18 @@ def test_analyze_guard_refuses_large_interval(capsys):
     assert "100000" in err
 
 
-def test_analyze_guard_admits_small_interval(capsys, monkeypatch):
-    # [e, s1 ... s8] has at most 2^8 elements, so the guard lets it through to
-    # the interval; the test stops there, as the full report takes far longer
-    class Reached(Exception):
-        pass
-
-    def stop(w):
-        raise Reached
-
-    monkeypatch.setattr("weylinv.cli.poincare", stop)
-    with pytest.raises(Reached):
-        main(["analyze", "E8", "1", "2", "3", "4", "5", "6", "7", "8"])
+def test_analyze_guard_admits_small_interval(capsys):
+    # [e, s1 ... s8] has at most 2^8 elements, so the guard lets it through, and
+    # the pattern scan visits only subspaces spanned by inversions of w
+    for word in (["E8", "1", "2", "3", "4", "5", "6", "7", "8"], ["E7", "1"]):
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "analyze", *word, "--json")
+        assert time.monotonic() - t0 < 30
+        assert code == 0
+        report = json.loads(out)
+        assert report["pattern_hits"] == []
+        assert report["palindromic"] is True
+        assert report["freeness"] == "free"
 
 
 def test_tables_short(capsys):

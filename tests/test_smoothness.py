@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pattern_oracle as ref
 from weylinv.arrangement import is_supersolvable, poincare_polynomial, Arrangement
 from weylinv.cache import clear_caches
 from weylinv.inversion import flatten, inversion_arrangement, inversion_set
@@ -13,8 +14,8 @@ from weylinv.smoothness import (
     contains_pattern, coset_chain_poincare, exceptional_element,
     exceptional_exponents, exceptional_poincare, exponents_of, find_chain_bp,
     hlss, hlss_by_distance, inversion_graph, is_bp, is_chordal,
-    parabolic_exponents, parabolic_poincare, perm_of, rationally_smooth,
-    tree_exponents, word_of,
+    parabolic_exponents, parabolic_poincare, pattern_hits, perm_of,
+    rationally_smooth, tree_exponents, word_of,
 )
 from weylinv.weyl import (
     WeylGroup, bruhat_leq, coset_poincare, longest_element,
@@ -251,7 +252,21 @@ def test_root_pattern_matches_permutation_pattern_a4():
             (not avoids_perm_pattern(perm, (4, 2, 3, 1)))
 
 
-@pytest.mark.parametrize("name", ["A3", "B3"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_pattern_hits_match_all_roots_scan(name):
+    for w in WeylGroup.get(name).elements():
+        assert pattern_hits(w) == ref.pattern_hits(w)
+
+
+@pytest.mark.parametrize("name", ["D4", "A4"])
+def test_pattern_hits_match_all_roots_scan_sampled(name):
+    g = WeylGroup.get(name)
+    rng = random.Random(29)
+    for w in rng.sample(sorted_elements(g), 12) + [longest_element(g)]:
+        assert pattern_hits(w) == ref.pattern_hits(w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A4"])
 def test_smoothness_methods_agree(name):
     g = WeylGroup.get(name)
     for w in g.elements():
