@@ -7,6 +7,7 @@ functionals.  All computations are exact over the rationals.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -36,18 +37,10 @@ class Arrangement:
     def rank(self) -> int:
         return matrix_rank(self.normals)
 
-    def to_json_obj(self) -> dict:
-        return {"dim": self.dim, "normals": [list(v) for v in self.normals]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Arrangement":
-        return cls(obj["dim"], [tuple(v) for v in obj["normals"]])
-
 
 @dataclass(frozen=True)
 class Flat:
-    """A flat, stored as the set of hyperplanes containing it plus a basis."""
-    subspace: Tuple[Tuple, ...]          # RREF basis rows of the subspace
+    """A flat, stored as the set of hyperplanes containing it."""
     contains: FrozenSet[int]             # closed set of hyperplane indices
 
 
@@ -59,10 +52,7 @@ def _closure(A: Arrangement, indices: Iterable[int]) -> FrozenSet[int]:
 
 
 def flat_of(A: Arrangement, indices: Iterable[int]) -> Flat:
-    closed = _closure(A, indices)
-    sub = kernel_basis([A.normals[i] for i in sorted(closed)], A.dim) if closed else \
-        tuple(tuple(int(i == j) for j in range(A.dim)) for i in range(A.dim))
-    return Flat(sub, closed)
+    return Flat(_closure(A, indices))
 
 
 def deletion(A: Arrangement, normal: Sequence[int]) -> Arrangement:
@@ -167,21 +157,22 @@ def characteristic_polynomial(A: Arrangement) -> IntPolynomial:
 
 
 def flats_of_rank(A: Arrangement, target: int) -> List[Flat]:
-    """All flats of the given matroid rank, generated level by level."""
+    """All flats of the given matroid rank, generated level by level.
+
+    The flats covering F partition the hyperplanes outside F, so each one is
+    closed once, from the first index it holds."""
     level: Dict[FrozenSet[int], None] = {_closure(A, ()): None}
-    r = 0
-    while r < target:
+    for _ in range(target):
         nxt: Dict[FrozenSet[int], None] = {}
         for closed in level:
+            covered = set(closed)
             for i in range(len(A.normals)):
-                if i not in closed:
-                    bigger = _closure(A, list(closed) + [i])
-                    nxt.setdefault(bigger, None)
+                if i not in covered:
+                    bigger = _closure(A, [*closed, i])
+                    covered |= bigger
+                    nxt[bigger] = None
         level = nxt
-        r += 1
-        if not level:
-            break
-    return [flat_of(A, closed) for closed in level]
+    return [Flat(closed) for closed in level]
 
 
 def coatoms(A: Arrangement) -> List[Flat]:
@@ -191,13 +182,18 @@ def coatoms(A: Arrangement) -> List[Flat]:
 def is_modular_coatom(A: Arrangement, X: Flat) -> bool:
     if matroid_rank(A, X.contains) != A.rank() - 1:
         raise ValueError("flat is not a coatom")
-    inside = [A.normals[i] for i in sorted(X.contains)]
-    outside = [v for i, v in enumerate(A.normals) if i not in X.contains]
-    for a in range(len(outside)):
-        for b in range(a + 1, len(outside)):
-            h1, h2 = outside[a], outside[b]
-            if not any(matrix_rank([h1, h2, h3]) <= 2 for h3 in inside):
-                return False
+    return every_pair_meets([v for i, v in enumerate(A.normals) if i not in X.contains],
+                            [A.normals[i] for i in sorted(X.contains)])
+
+
+def every_pair_meets(outside: Sequence[Sequence[int]], inside: Sequence[Sequence[int]]) -> bool:
+    """Whether every two of the nonzero vectors `outside` span a plane that
+    holds a vector of `inside` (two parallel vectors pass)."""
+    for a, b in itertools.combinations(outside, 2):
+        plane = Eliminator()
+        plane.add(a)
+        if plane.add(b) and not any(plane.in_span(g) for g in inside):
+            return False
     return True
 
 

@@ -13,8 +13,6 @@ from .weyl import WeylElement, WeylGroup
 @dataclass(frozen=True)
 class OrderedInversionSet:
     roots: Tuple[Root, ...]             # convex order beta_1 < ... < beta_l
-    owner: WeylElement
-    source_word: Tuple[int, ...]
 
     def __len__(self):
         return len(self.roots)
@@ -37,7 +35,7 @@ def inversion_set(w: WeylElement, word: Optional[Sequence[int]] = None) -> Order
     for s in word:
         roots.append(prefix.apply(g.system.simple_roots[s]))
         prefix = g.mul(prefix, g.generators[s])
-    return OrderedInversionSet(tuple(roots), w, word)
+    return OrderedInversionSet(tuple(roots))
 
 
 def is_biconvex(roots: Iterable[Root], system: RootSystem) -> bool:

@@ -92,8 +92,6 @@ def cartan_datum(name: str) -> CartanDatum:
     label, n = name[0], int(name[1:])
     if n < 1:
         raise ValueError("rank must be positive")
-    if label == "A" and n < 1:
-        raise ValueError("type A requires rank >= 1")
     if label in ("B", "C") and n < 2:
         raise ValueError(f"type {label} requires rank >= 2")
     edges = _edges_for(label, n)
@@ -210,20 +208,6 @@ class RootSystem:
                 row = B[i]
                 total += x * sum(row[j] * b[j] for j in range(self.rank) if b[j])
         return total
-
-    def reflect(self, alpha: Root, beta: Root) -> Root:
-        """t_alpha(beta) = beta - 2(beta,alpha)/(alpha,alpha) * alpha."""
-        c = 2 * self.inner_product(beta, alpha) / self.inner_product(alpha, alpha)
-        if c.denominator != 1:
-            raise ValueError("non-integral reflection coefficient; roots not in system?")
-        c = int(c)
-        out = tuple(b - c * a for b, a in zip(beta, alpha))
-        if out not in self.all_roots:
-            raise AssertionError("reflection left the root system")
-        return out
-
-    def is_root(self, vec: Sequence[int]) -> bool:
-        return tuple(vec) in self.all_roots
 
 
 # -- subsystems ------------------------------------------------------------

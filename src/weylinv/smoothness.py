@@ -10,17 +10,17 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import (
-    Arrangement, flat_of, is_modular_coatom, is_supersolvable, matroid_rank,
+    every_pair_meets, flat_of, is_modular_coatom, is_supersolvable, matroid_rank,
     poincare_polynomial,
 )
 from .cache import cached
 from .inversion import flatten, inversion_arrangement, inversion_set
-from .linalg import rank as matrix_rank, rref
+from .linalg import rref
 from .polynomials import IntPolynomial, product, q_int, q_integer_factorization
 from .rootsys import RootSystem, Subsystem, cartan_isomorphisms, root_height
 from .weyl import (
-    WeylElement, WeylGroup, absolute_length, bruhat_graph_distance, coset_poincare,
-    is_palindromic, longest_element, parabolic_decomposition, poincare,
+    WeylElement, WeylGroup, coset_poincare, is_palindromic, longest_element,
+    parabolic_decomposition, poincare,
 )
 
 
@@ -75,12 +75,7 @@ def _parabolic_roots(system: RootSystem, J: FrozenSet[int]) -> List[tuple]:
 
 def _pair_span_chain(v: WeylElement, J: FrozenSet[int]) -> bool:
     """Every pair of inversions of v must span a plane meeting R_J."""
-    inv = inversion_set(v).roots
-    RJ = _parabolic_roots(v.group.system, J)
-    for a, b in itertools.combinations(inv, 2):
-        if not any(matrix_rank([a, b, g]) <= 2 for g in RJ):
-            return False
-    return True
+    return every_pair_meets(inversion_set(v).roots, _parabolic_roots(v.group.system, J))
 
 
 def coset_chain_poincare(v: WeylElement, J: FrozenSet[int], side: str):
@@ -212,15 +207,6 @@ def hlss(w: WeylElement) -> bool:
     """NBC sets of the inversion arrangement vs the Bruhat interval size."""
     nbc = poincare_polynomial(inversion_arrangement(w))(1)
     return nbc == len(w.group.bruhat_interval(w))
-
-
-def hlss_by_distance(w: WeylElement) -> bool:
-    """Direct formulation: reflection distance to w equals absolute length."""
-    winv = w.inverse()
-    for u in w.group.bruhat_interval(w):
-        if bruhat_graph_distance(u, w) != absolute_length(u * winv):
-            return False
-    return True
 
 
 # -- root system pattern avoidance ------------------------------------------
@@ -401,16 +387,6 @@ AUDIT_GUARD = 10 ** 5
 ALL_CHECKS = ("free_interval", "modular_coatom", "supersolvable", "hlss")
 
 
-def _coatom_flat_of_center(w: WeylElement, u: WeylElement):
-    """(is_coatom, flat) for X = intersection of the hyperplanes of J(u),
-    viewed inside J(w)."""
-    A = inversion_arrangement(w)
-    inv_u = inversion_set(u).as_set()
-    idx = [i for i, nrm in enumerate(A.normals) if nrm in inv_u]
-    X = flat_of(A, idx)
-    return matroid_rank(A, X.contains) == A.rank() - 1, A, X
-
-
 def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
                   sample_j: Optional[int] = None, seed: int = 0,
                   override: bool = False) -> dict:
@@ -428,9 +404,10 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
     for w in sorted(group.elements(), key=lambda x: (x.length(), x.word())):
         smooth = rationally_smooth(w)
         word1 = tuple(s + 1 for s in w.word())
+        A = inversion_arrangement(w)
         if "free_interval" in checks:
             counts["free_interval"] += 1
-            res = inductively_free(inversion_arrangement(w))
+            res = inductively_free(A)
             size = len(group.bruhat_interval(w))
             prod_ok = res.free and _coexp_product(res.coexponents) == size
             ok = (smooth == prod_ok)
@@ -443,22 +420,24 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
             pairs = [(side, J) for side in ("left", "right") for J in _candidate_subsets(w)]
             if sample_j is not None and len(pairs) > sample_j:
                 pairs = rng.sample(pairs, sample_j)
+            # X is the flat of J(u) inside J(w), read on w^-1 for the right side
+            arrangements = {"left": A, "right": inversion_arrangement(w.inverse())}
             for side, J in pairs:
                 dec = bp_decomposition(w, J, side)
                 chain_bp = dec is not None and dec.is_chain and dec.v.length() >= 1
                 u, v = parabolic_decomposition(w, J, side)
                 if v.is_identity():
                     continue
-                probe_w = w if side == "left" else w.inverse()
-                probe_u = u if side == "left" else u.inverse()
-                coatom, A, X = _coatom_flat_of_center(probe_w, probe_u)
-                modular = coatom and is_modular_coatom(A, X)
+                inv_u = inversion_set(u if side == "left" else u.inverse()).as_set()
+                B = arrangements[side]
+                X = flat_of(B, [i for i, nrm in enumerate(B.normals) if nrm in inv_u])
+                modular = matroid_rank(B, X.contains) == B.rank() - 1 and is_modular_coatom(B, X)
                 if chain_bp != modular:
                     counterexamples.append(("modular_coatom", word1, (side, tuple(sorted(J)))))
         if "supersolvable" in checks:
             counts["supersolvable"] += 1
             has_tree = complete_chain_bp(w) is not None
-            ss, _ = is_supersolvable(inversion_arrangement(w))
+            ss, _ = is_supersolvable(A)
             if has_tree != (smooth and ss):
                 counterexamples.append(("supersolvable", word1, (has_tree, smooth, ss)))
         if "hlss" in checks:

@@ -213,10 +213,6 @@ def descents(w: WeylElement, side: str) -> FrozenSet[int]:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def support(w: WeylElement) -> FrozenSet[int]:
-    return w.support()
-
-
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     if u.group is not w.group:
         raise ValueError("elements from different groups")

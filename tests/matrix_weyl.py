@@ -3,9 +3,21 @@ permutations replaced.
 
 An element is the tuple of images of the simple roots (the columns of its
 matrix in the simple-root basis).  Products are matrix products, reflections
-come from `RootSystem.reflect`, and [e, w] is the downward closure along
-reflection edges.  Differential tests compare `weylinv.weyl` against it.
+come from the invariant form (`reflect`), and [e, w] is the downward closure
+along reflection edges.  Differential tests compare `weylinv.weyl` against it.
 """
+
+
+def reflect(system, alpha, beta):
+    """t_alpha(beta) = beta - 2(beta,alpha)/(alpha,alpha) * alpha."""
+    c = 2 * system.inner_product(beta, alpha) / system.inner_product(alpha, alpha)
+    if c.denominator != 1:
+        raise ValueError("non-integral reflection coefficient; roots not in system?")
+    c = int(c)
+    out = tuple(b - c * a for b, a in zip(beta, alpha))
+    if out not in system.all_roots:
+        raise AssertionError("reflection left the root system")
+    return out
 
 
 def cols_of(w):
@@ -23,7 +35,7 @@ def mul(cols_a, cols_b):
 
 
 def reflection(system, beta):
-    return tuple(system.reflect(beta, a) for a in system.simple_roots)
+    return tuple(reflect(system, beta, a) for a in system.simple_roots)
 
 
 def inverse(cols):

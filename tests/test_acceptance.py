@@ -131,9 +131,9 @@ def test_criterion_04_a7_element():
 
 def test_criterion_05_theorem_audit():
     with criterion(5, 900.0):
-        for name, order, sample_j in (("A3", 24, None), ("B3", 48, None),
-                                      ("A4", 120, None), ("D4", 192, 12)):
-            report = theorem_audit(WeylGroup.get(name), sample_j=sample_j)
+        for name, order in (("A3", 24), ("B3", 48), ("A4", 120), ("D4", 192),
+                            ("B4", 384), ("C4", 384)):
+            report = theorem_audit(WeylGroup.get(name))
             assert report["order"] == order
             assert report["counterexamples"] == []
 

