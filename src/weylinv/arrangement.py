@@ -159,18 +159,25 @@ def characteristic_polynomial(A: Arrangement) -> IntPolynomial:
 def flats_of_rank(A: Arrangement, target: int) -> List[Flat]:
     """All flats of the given matroid rank, generated level by level.
 
-    The flats covering F partition the hyperplanes outside F, so each one is
-    closed once, from the first index it holds."""
-    level: Dict[FrozenSet[int], None] = {_closure(A, ()): None}
+    The flats covering F partition the hyperplanes outside F, one block per
+    line of V/span(F) (Orlik-Terao §2.1): each normal outside F is reduced
+    once against F's normals, and the normals whose residues are parallel
+    form one block.  Blocks come in order of their smallest index."""
+    if target < 0:
+        return []
+    level: Dict[FrozenSet[int], None] = {frozenset(): None}
     for _ in range(target):
         nxt: Dict[FrozenSet[int], None] = {}
         for closed in level:
-            covered = set(closed)
-            for i in range(len(A.normals)):
-                if i not in covered:
-                    bigger = _closure(A, [*closed, i])
-                    covered |= bigger
-                    nxt[bigger] = None
+            elim = Eliminator()
+            for i in closed:
+                elim.add(A.normals[i])
+            blocks: Dict[Normal, List[int]] = {}
+            for i, v in enumerate(A.normals):
+                if i not in closed:
+                    blocks.setdefault(primitive(elim.reduce(v)), []).append(i)
+            for block in blocks.values():
+                nxt[closed.union(block)] = None
         level = nxt
     return [Flat(closed) for closed in level]
 

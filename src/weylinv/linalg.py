@@ -49,14 +49,21 @@ class Eliminator:
         self.rows = []      # primitive integer rows; never mutated in place
         self.pivots = []    # pivot column per row
 
-    def _reduce(self, row):
+    def reduce(self, row):
+        """The residue of a row of ints against the rows: 0 at every pivot
+        column, and c·row − (a vector of the span) for a nonzero integer c.
+        The vectors that are 0 at the pivots are a complement of the span,
+        so the residue is a nonzero multiple of the projection of the row
+        along the span onto it: two rows outside the span have parallel
+        residues exactly when each lies in the span of the rows and the
+        other."""
         for r, p in zip(self.rows, self.pivots):
             if row[p]:
                 row = _clear(row, r, p)
         return row
 
     def add(self, row) -> bool:
-        work = self._reduce(row)
+        work = self.reduce(row)
         for j, x in enumerate(work):
             if x:
                 g = gcd(*work)
@@ -66,7 +73,7 @@ class Eliminator:
         return False
 
     def in_span(self, row) -> bool:
-        return not any(self._reduce(row))
+        return not any(self.reduce(row))
 
     def copy(self) -> "Eliminator":
         other = Eliminator()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import (
-    every_pair_meets, flat_of, is_modular_coatom, is_supersolvable, matroid_rank,
+    every_pair_meets, flat_of, is_supersolvable, matroid_rank,
     poincare_polynomial,
 )
 from .cache import cached
@@ -422,16 +422,18 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
                 pairs = rng.sample(pairs, sample_j)
             # X is the flat of J(u) inside J(w), read on w^-1 for the right side
             arrangements = {"left": A, "right": inversion_arrangement(w.inverse())}
+            ranks = {side: B.rank() for side, B in arrangements.items()}
             for side, J in pairs:
-                dec = bp_decomposition(w, J, side)
-                chain_bp = dec is not None and dec.is_chain and dec.v.length() >= 1
-                u, v = parabolic_decomposition(w, J, side)
+                ok, u, v = is_bp(w, J, side)
                 if v.is_identity():
                     continue
+                chain_bp = ok and coset_chain_poincare(v, J, side)[0]
                 inv_u = inversion_set(u if side == "left" else u.inverse()).as_set()
                 B = arrangements[side]
                 X = flat_of(B, [i for i, nrm in enumerate(B.normals) if nrm in inv_u])
-                modular = matroid_rank(B, X.contains) == B.rank() - 1 and is_modular_coatom(B, X)
+                modular = matroid_rank(B, X.contains) == ranks[side] - 1 and every_pair_meets(
+                    [nrm for i, nrm in enumerate(B.normals) if i not in X.contains],
+                    [B.normals[i] for i in sorted(X.contains)])
                 if chain_bp != modular:
                     counterexamples.append(("modular_coatom", word1, (side, tuple(sorted(J)))))
         if "supersolvable" in checks:

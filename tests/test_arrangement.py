@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import fraction_linalg as ref
 import lattice_oracle as lat
 from weylinv.arrangement import (
-    Arrangement, characteristic_polynomial, coatoms, deletion, flat_of,
+    Arrangement, Flat, characteristic_polynomial, coatoms, deletion, flat_of,
     flats_of_rank, is_modular_coatom, is_supersolvable, localization,
     nbc_counts_by_size, nbc_sets, poincare_polynomial, quotient_by_center,
     restriction,
@@ -15,6 +15,12 @@ from weylinv.arrangement import (
 from weylinv.inversion import inversion_arrangement, inversion_set
 from weylinv.polynomials import IntPolynomial
 from weylinv.weyl import WeylGroup, longest_element
+
+
+# up to 7 normals with entries in [-3, 3], in dimension 1 to 5 (3 when there are none)
+random_arrangements = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)).map(
+    lambda rows: Arrangement(len(rows[0]) if rows else 3, rows))
 
 
 def braid(n):
@@ -104,10 +110,8 @@ def test_quotient_by_center():
     assert quotient_by_center(Arrangement(3, [])) == Arrangement(0, [])
 
 
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)))
-def test_quotient_by_center_matches_fraction_oracle(rows):
-    A = Arrangement(len(rows[0]) if rows else 3, rows)
+@given(random_arrangements)
+def test_quotient_by_center_matches_fraction_oracle(A):
     assert quotient_by_center(A) == ref.quotient_by_center(A)
 
 
@@ -144,6 +148,19 @@ def test_modular_coatom_example():
     other = flat_of(A, [i for i, n in enumerate(A.normals) if n in
                         {(1, 0, 0), (0, 0, 1)}])
     assert not is_modular_coatom(A, other)
+
+
+def test_flats_of_negative_rank():
+    # no flat has rank -1: the empty arrangement has no coatom, and a
+    # rank-1 arrangement has the bottom flat as its only one
+    empty = Arrangement(3, [])
+    assert flats_of_rank(empty, -1) == coatoms(empty) == []
+    assert flats_of_rank(empty, 0) == [Flat(frozenset())]
+    line = Arrangement(2, [(1, 0)])
+    assert flats_of_rank(line, -1) == []
+    assert coatoms(line) == [Flat(frozenset())]
+    assert is_modular_coatom(line, coatoms(line)[0])
+    assert flats_of_rank(line, 1) == [Flat(frozenset({0}))]
 
 
 def test_is_modular_coatom_rejects_non_coatoms():
@@ -188,13 +205,48 @@ def assert_lattice_matches_oracle(A):
     assert is_supersolvable(A) == (chain is not None, chain)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def seeded_sample(name, k):
+    """w0 and k other elements of the group, drawn with a fixed seed."""
+    g = WeylGroup.get(name)
+    w0 = longest_element(g)
+    els = sorted((w for w in g.elements() if w != w0), key=lambda x: (x.length(), x.word()))
+    return [w0] + random.Random(f"lattice:{name}").sample(els, k)
+
+
+# roots with a coefficient 2 and up to 24 hyperplanes: w0 and a seeded sample
+SAMPLED = {"B4": 5, "C4": 5, "F4": 2}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", *SAMPLED])
 def test_lattice_matches_oracle_on_inversion_arrangements(name):
-    for w in WeylGroup.get(name).elements():
+    elements = seeded_sample(name, SAMPLED[name]) if name in SAMPLED else \
+        WeylGroup.get(name).elements()
+    for w in elements:
         assert_lattice_matches_oracle(inversion_arrangement(w))
 
 
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)))
-def test_lattice_matches_oracle_on_random_arrangements(rows):
-    assert_lattice_matches_oracle(Arrangement(len(rows[0]) if rows else 3, rows))
+def assert_covering_flats_partition(A):
+    """The flats of rank k+1 above a flat F of rank k split the indices outside F."""
+    for k in range(A.rank()):
+        above = [G.contains for G in flats_of_rank(A, k + 1)]
+        for F in flats_of_rank(A, k):
+            blocks = [G - F.contains for G in above if F.contains <= G]
+            outside = set(range(len(A.normals))) - F.contains
+            assert sum(map(len, blocks)) == len(outside)
+            assert set().union(*blocks) == outside
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "D4", "F4"])
+def test_covering_flats_partition_on_inversion_arrangements(name):
+    for w in seeded_sample(name, 5):
+        assert_covering_flats_partition(inversion_arrangement(w))
+
+
+@given(random_arrangements)
+def test_lattice_matches_oracle_on_random_arrangements(A):
+    assert_lattice_matches_oracle(A)
+
+
+@given(random_arrangements)
+def test_covering_flats_partition_on_random_arrangements(A):
+    assert_covering_flats_partition(A)
