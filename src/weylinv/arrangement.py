@@ -56,7 +56,11 @@ def flat_of(A: Arrangement, indices: Iterable[int]) -> Flat:
 
 
 def deletion(A: Arrangement, normal: Sequence[int]) -> Arrangement:
-    h = primitive(normal)
+    return _deletion(A, primitive(normal))
+
+
+@cached
+def _deletion(A: Arrangement, h: Normal) -> Arrangement:
     if h not in A.normals:
         raise ValueError("hyperplane not in arrangement")
     return Arrangement(A.dim, [v for v in A.normals if v != h])
@@ -68,7 +72,11 @@ def restriction_basis(normal: Sequence[int]) -> Tuple[Tuple, ...]:
 
 
 def restriction(A: Arrangement, normal: Sequence[int]) -> Arrangement:
-    h = primitive(normal)
+    return _restriction(A, primitive(normal))
+
+
+@cached
+def _restriction(A: Arrangement, h: Normal) -> Arrangement:
     if h not in A.normals:
         raise ValueError("hyperplane not in arrangement")
     basis = restriction_basis(h)
@@ -86,6 +94,7 @@ def localization(A: Arrangement, X: Flat) -> Arrangement:
     return Arrangement(A.dim, [A.normals[i] for i in sorted(X.contains)])
 
 
+@cached
 def quotient_by_center(A: Arrangement) -> Arrangement:
     """Re-coordinatize so the center becomes 0: express normals in the
     canonical RREF basis of their span, whose rows are unit vectors on its
@@ -142,9 +151,24 @@ def nbc_counts_by_size(A: Arrangement, order: Optional[Sequence[Normal]] = None)
     return counts or [1]
 
 
+_T = IntPolynomial((0, 1))
+
+
 @cached
 def poincare_polynomial(A: Arrangement) -> IntPolynomial:
-    return IntPolynomial(nbc_counts_by_size(A))
+    """π(A) by deletion-restriction, π(B) = π(B − H) + t·π(B^H) (Orlik-Terao
+    Thm 2.56), on the essential form B with H its first normal.  The deletion
+    chain is walked in a loop and only restrictions recurse, so the depth is
+    at most the rank; at rank <= 2, π of m hyperplanes is 1, 1 + t or
+    1 + m·t + (m − 1)·t²."""
+    B = quotient_by_center(A)
+    acc = IntPolynomial((0,))
+    while B.dim > 2:
+        H = B.normals[0]
+        acc = acc + _T * poincare_polynomial(quotient_by_center(restriction(B, H)))
+        B = quotient_by_center(deletion(B, H))
+    m = len(B.normals)
+    return acc + IntPolynomial((1, m, m - 1)[:B.dim + 1])
 
 
 def characteristic_polynomial(A: Arrangement) -> IntPolynomial:
@@ -219,7 +243,9 @@ def _supersolvable_chain(A: Arrangement):
     if A.rank() <= 2:
         return ()
     for X in coatoms(A):
-        if is_modular_coatom(A, X):
+        # X comes from coatoms(A), so only the pair test of is_modular_coatom is due
+        if every_pair_meets([v for i, v in enumerate(A.normals) if i not in X.contains],
+                            [A.normals[i] for i in sorted(X.contains)]):
             sub = _supersolvable_chain(localization(A, X))
             if sub is not None:
                 return (frozenset(A.normals[i] for i in X.contains),) + sub

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -75,6 +76,50 @@ def test_whitney_deletion_restriction_identity():
         lhs = poincare_polynomial(A)
         rhs = poincare_polynomial(deletion(A, H)) + t * poincare_polynomial(restriction(A, H))
         assert lhs == rhs
+
+
+def assert_pi_matches_nbc(A):
+    assert poincare_polynomial(A) == IntPolynomial(nbc_counts_by_size(A))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_poincare_matches_nbc_on_inversion_arrangements(name):
+    # deletion-restriction against the NBC count, on each arrangement and
+    # every deletion and restriction of it
+    for w in WeylGroup.get(name).elements():
+        A = inversion_arrangement(w)
+        assert_pi_matches_nbc(A)
+        for v in A.normals:
+            assert_pi_matches_nbc(deletion(A, v))
+            assert_pi_matches_nbc(restriction(A, v))
+
+
+@given(random_arrangements)
+def test_poincare_matches_nbc_on_random_arrangements(A):
+    assert_pi_matches_nbc(A)
+    for v in A.normals:
+        assert_pi_matches_nbc(deletion(A, v))
+        assert_pi_matches_nbc(restriction(A, v))
+
+
+def test_poincare_of_a_long_deletion_chain():
+    # m generic planes in rank 3 (normals on the moment curve, any three
+    # independent): the deletion chain is m - 2 steps long, the recursion
+    # through restrictions one step deep
+    m = 400
+    A = Arrangement(3, [(1, k, k * k) for k in range(m)])
+    assert poincare_polynomial(A) == IntPolynomial(
+        (1, m, math.comb(m, 2), math.comb(m - 1, 2)))
+
+
+def test_deletion_and_restriction_accept_a_list_normal():
+    A = braid(4)
+    H = A.normals[1]
+    scaled = [-2 * x for x in H]
+    assert deletion(A, scaled) == deletion(A, H)
+    assert restriction(A, scaled) == restriction(A, H)
+    with pytest.raises(ValueError):
+        deletion(A, [1, 1, 1, 1])
 
 
 def finite_field_points(A, p):

@@ -30,9 +30,11 @@ def cached_functions():
 
 def test_the_cached_functions():
     assert sorted(cached_functions()) == [
+        "arrangement._deletion", "arrangement._restriction",
         "arrangement._supersolvable_chain", "arrangement.poincare_polynomial",
-        "cli.build_parser", "polynomials.cyclotomic", "smoothness.complete_chain_bp",
-        "smoothness.pattern_hits", "weyl.WeylGroup.bruhat_interval", "weyl.WeylGroup.elements",
+        "arrangement.quotient_by_center", "cli.build_parser", "polynomials.cyclotomic",
+        "smoothness.complete_chain_bp", "smoothness.pattern_hits",
+        "weyl.WeylGroup.bruhat_interval", "weyl.WeylGroup.elements",
     ]
     for fn in cached_functions().values():
         assert fn.cache_info().maxsize == CACHE_SIZE

@@ -7,7 +7,9 @@ import time
 import pytest
 
 import weylinv
-from weylinv.cli import main
+from weylinv.cache import clear_caches
+from weylinv.cli import TABLE1, main
+from weylinv.smoothness import exceptional_element
 from weylinv.weyl import WeylGroup, longest_element
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(weylinv.__file__)))
@@ -241,6 +243,22 @@ def test_audit_unknown_check_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "bogus" in err
+
+
+def test_certify_verify_exceptional_e6(tmp_path, capsys):
+    # w_65 has no chain BP decomposition (criterion 7), so only the freeness
+    # search can certify it; about 3 s from cold caches
+    clear_caches()
+    word = [str(s + 1) for s in exceptional_element(6, 5).word()]
+    cert = str(tmp_path / "w65.json")
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "certify", "E6", *word, "--out", cert)
+    assert code == 0
+    assert err == f"coexponents: {list(TABLE1[(6, 5)])}\n"
+    code, out, _ = run(capsys, "verify", "E6", *word, "--cert", cert)
+    assert time.monotonic() - t0 < 30
+    assert code == 0
+    assert out == f"accept: coexponents {list(TABLE1[(6, 5)])}\n"
 
 
 def test_certify_refuses_non_free_element(capsys):
