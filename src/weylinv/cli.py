@@ -123,6 +123,8 @@ def cmd_audit(args) -> int:
     unknown = sorted(set(checks or ()) - set(ALL_CHECKS))
     if unknown:
         raise CLIError(EXIT_INPUT, f"unknown checks: {','.join(unknown)}")
+    if args.sample_j is not None and args.sample_j < 1:
+        raise CLIError(EXIT_INPUT, f"--sample-j must be at least 1, not {args.sample_j}")
     try:
         report = theorem_audit(g, checks=checks, sample_j=args.sample_j,
                                seed=args.seed, override=args.override)
@@ -181,15 +183,13 @@ def cmd_tables(args) -> int:
             ok = ok and good
             print(f"w_{k}{l} length={length} expected={TABLE2[(k, l)]} "
                   f"{'PASS' if good else 'FAIL'}")
-    elif args.which == 1:
+    else:
         for k, l in _kl_rows(args.long):
             exps = exceptional_exponents(k, l)
             good = exps == TABLE1[(k, l)]
             ok = ok and good
             print(f"w_{k}{l} exponents={list(exps)} expected={list(TABLE1[(k, l)])} "
                   f"{'PASS' if good else 'FAIL'}")
-    else:
-        raise CLIError(EXIT_INPUT, "table must be 1, 2, or 3")
     return EXIT_OK if ok else 1
 
 
@@ -214,8 +214,11 @@ def cmd_certify(args) -> int:
     }
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            raise CLIError(EXIT_INPUT, f"cannot write certificate: {e}")
     else:
         print(text)
     print(f"coexponents: {sorted(res.coexponents)}", file=sys.stderr)

@@ -1,13 +1,19 @@
-"""Inductive-freeness search with memoization, pivot pre-filtering and
-rank-2 early termination, plus emission and independent verification of
-freeness certificates.
+"""Inductive-freeness search with memoization and rank-2 early termination,
+plus emission and independent verification of freeness certificates.
+
+A pivot H of the essential arrangement B is tried only if π(B^H) splits
+into the roots of π(B) less exactly one; by deletion-restriction that one
+test is the addition theorem's condition on the Poincaré polynomials, and
+π(B − H) then splits as well.  The memo keeps (status, pivot); the
+coexponents of a free arrangement are the roots of its π (Terao's
+factorization), padded with zeros to the ambient dimension.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .arrangement import (
     Arrangement, Flat, deletion, is_modular_coatom, localization,
@@ -41,7 +47,7 @@ class _Search:
     one it is fresh per call and gives up once it holds `budget` entries."""
 
     def __init__(self, budget: Optional[int] = None):
-        self.memo: Dict[tuple, tuple] = {}   # key -> (status, ess_exps, pivot)
+        self.memo: Dict[tuple, tuple] = {}   # key -> (status, pivot)
         self.budget = budget
 
     def pivot_order(self, ess: Arrangement, order: str) -> List[tuple]:
@@ -49,89 +55,60 @@ class _Search:
             return sorted(ess.normals, key=lambda v: (-sum(abs(x) for x in v), v))
         return list(ess.normals)
 
-    def decide(self, A: Arrangement, order: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
-        """(status, essential coexponents) for the essentialization of A."""
+    def decide(self, A: Arrangement, order: str) -> str:
+        """Status of the essentialization of A."""
         ess = quotient_by_center(A)
-        l = ess.dim
-        if l <= 2:
-            m = len(ess.normals)
-            exps = (() if l == 0 else ((1,) if l == 1 else (1, m - 1)))
-            return FREE, exps
+        if ess.dim <= 2:
+            return FREE
         # the pivot found depends on the order, so the order is part of the key
         key = (order, ess.dim, ess.normals)
         hit = self.memo.get(key)
         if hit is not None:
-            return hit[0], hit[1]
+            return hit[0]
         if self.budget is not None and len(self.memo) >= self.budget:
             # over budget: give up instead of re-deriving without the memo
-            return UNDETERMINED, None
+            return UNDETERMINED
 
-        q = poincare_polynomial(ess)
-        roots = linear_split(q)
+        roots = linear_split(poincare_polynomial(ess))
         if roots is None:
-            return self._store(key, NOT_INDUCTIVELY_FREE, None, None)
+            return self._store(key, NOT_INDUCTIVELY_FREE, None)
 
         target = Counter(roots)
         undetermined = False
         for pivot in self.pivot_order(ess, order):
-            del_A = deletion(ess, pivot)
             res_A = restriction(ess, pivot)
-            # pre-filter on split Poincare polynomials of the children
-            mdel = self._padded_split(del_A, l)
-            mres = self._padded_split(res_A, l - 1)
-            if mdel is None or mres is None:
+            # B^H is essential, one rank below B.  If π(B) = π(B^H)·(1 + (e+1)t),
+            # then π(B - H) = π(B) - t·π(B^H) = π(B^H)·(1 + e·t) splits too,
+            # so this one test is the whole addition-theorem condition
+            mres = linear_split(poincare_polynomial(res_A))
+            if mres is None or sum((target - Counter(mres)).values()) != 1:
                 continue
-            extra = Counter(mdel) - Counter(mres)
-            if sum(extra.values()) != 1:
-                continue
-            e = next(iter(extra))
-            if Counter(mres) + Counter([e + 1]) != target:
-                continue
-            s1, x1 = self.decide(del_A, order)
-            if s1 == UNDETERMINED:
-                undetermined = True
-                continue
-            if s1 != FREE or Counter(self._pad(x1, l)) != Counter(mdel):
-                continue
-            s2, x2 = self.decide(res_A, order)
-            if s2 == UNDETERMINED:
-                undetermined = True
-                continue
-            if s2 != FREE or Counter(self._pad(x2, l - 1)) != Counter(mres):
-                continue
-            return self._store(key, FREE, tuple(roots), pivot)
+            status = self.decide(deletion(ess, pivot), order)
+            if status == FREE:
+                status = self.decide(res_A, order)
+            if status == FREE:
+                return self._store(key, FREE, pivot)
+            undetermined = undetermined or status == UNDETERMINED
         if undetermined:
-            return UNDETERMINED, None
-        return self._store(key, NOT_INDUCTIVELY_FREE, None, None)
+            return UNDETERMINED
+        return self._store(key, NOT_INDUCTIVELY_FREE, None)
 
-    @staticmethod
-    def _padded_split(child: Arrangement, width: int):
-        roots = linear_split(poincare_polynomial(quotient_by_center(child)))
-        if roots is None:
-            return None
-        return sorted(roots + [0] * (width - len(roots)))
-
-    @staticmethod
-    def _pad(ess_exps: Tuple[int, ...], width: int):
-        return sorted(list(ess_exps) + [0] * (width - len(ess_exps)))
-
-    def _store(self, key, status, exps, pivot):
+    def _store(self, key, status, pivot):
         if len(self.memo) >= (CACHE_SIZE if self.budget is None else self.budget):
             if self.budget is not None:
-                return UNDETERMINED, None
+                return UNDETERMINED
             self.memo.clear()   # entries are pure, so any of them may go
-        self.memo[key] = (status, exps, pivot)
-        return status, exps
+        self.memo[key] = (status, pivot)
+        return status
 
     def certificate(self, A: Arrangement, order: str):
         """Nested pivot tree (None = leaf) for an arrangement already decided free."""
         ess = quotient_by_center(A)
         if ess.dim <= 2:
             return None
-        status, _ = self.decide(ess, order)
-        if status != FREE:
+        if self.decide(ess, order) != FREE:
             raise ValueError("arrangement is not known to be inductively free")
-        pivot = self.memo[(order, ess.dim, ess.normals)][2]
+        pivot = self.memo[(order, ess.dim, ess.normals)][1]
         return {
             "pivot": list(pivot),
             "del": self.certificate(deletion(ess, pivot), order),
@@ -142,17 +119,22 @@ class _Search:
 _search = _Search()
 
 
+def _coexponents(roots: List[int], dim: int) -> Tuple[int, ...]:
+    """Terao's factorization: a free arrangement's coexponents are the roots
+    of π, with one zero per dimension of the center."""
+    return tuple([0] * (dim - len(roots)) + roots)
+
+
 def inductively_free(A: Arrangement, budget: Optional[int] = None,
                      order: str = "lex", with_certificate: bool = False) -> FreenessResult:
     search = _search if budget is None else _Search(budget)
     q = poincare_polynomial(A)
-    splits = linear_split(q) is not None
-    status, ess_exps = search.decide(A, order)
+    roots = linear_split(q)
+    status = search.decide(A, order)
     if status == FREE:
-        padded = tuple(sorted(list(ess_exps) + [0] * (A.dim - matrix_rank(A.normals))))
         cert = search.certificate(A, order) if with_certificate else None
-        return FreenessResult(FREE, padded, q, splits, cert)
-    return FreenessResult(status, None, q, splits, None)
+        return FreenessResult(FREE, _coexponents(roots, A.dim), q, True, cert)
+    return FreenessResult(status, None, q, roots is not None, None)
 
 
 def freeness_certificate(A: Arrangement, budget: Optional[int] = None, order: str = "lex"):
@@ -258,48 +240,30 @@ def modular_coatom_freeness(A: Arrangement, X: Flat,
     AX = localization(A, X)
     inner = inductively_free(AX, budget, order)
     q = poincare_polynomial(A)
-    splits = linear_split(q) is not None
+    roots = linear_split(q)
     if not inner.free:
-        return FreenessResult(inner.status, None, q, splits, None)
-    peeled = len(A.normals) - len(AX.normals)
-    ess_rank = matrix_rank(A.normals)
-    inner_nonzero = [d for d in inner.coexponents if d]
-    exps = tuple(sorted(inner_nonzero + [peeled] + [0] * (A.dim - ess_rank)))
+        return FreenessResult(inner.status, None, q, roots is not None, None)
+    # π(A) = π(A_X)·(1 + |A - A_X|·t) for a modular coatom X, so A is free
+    # with the roots of π(A) as coexponents
     cert = _peel_certificate(A, frozenset(AX.normals), budget, order)
-    return FreenessResult(FREE, exps, q, splits, cert)
+    return FreenessResult(FREE, _coexponents(roots, A.dim), q, True, cert)
 
 
 def _peel_certificate(A: Arrangement, inside: frozenset, budget, order):
     ess = quotient_by_center(A)
     if ess.dim <= 2:
         return None
-    outside = [v for v in A.normals if v not in inside]
-    if not outside:
-        return freeness_certificate(A, budget, order)
-    # peeling changes coordinates under essentialization; recompute which
-    # essential normals came from outside the localization
-    ess_out = _map_outside(A, inside)
+    # peeling changes coordinates under essentialization; map every normal
+    # to its essential image once and split the images by `inside`
+    pivots = pivot_columns(A.normals)
+    images = {v: primitive(tuple(v[p] for p in pivots)) for v in A.normals}
+    ess_out = [images[v] for v in A.normals if v not in inside]
     if not ess_out:
         return freeness_certificate(ess, budget, order)
     pivot = max(ess_out)
+    ess_in = frozenset(images[v] for v in A.normals if v in inside)
     return {
         "pivot": list(pivot),
-        "del": _peel_certificate(deletion(ess, pivot), _map_inside(A, inside), budget, order),
+        "del": _peel_certificate(deletion(ess, pivot), ess_in, budget, order),
         "res": freeness_certificate(restriction(ess, pivot), budget, order),
     }
-
-
-def _ess_images(A: Arrangement):
-    """Original normal -> its (primitive) image in essential coordinates."""
-    pivots = pivot_columns(A.normals)
-    return {v: primitive(tuple(v[p] for p in pivots)) for v in A.normals}
-
-
-def _map_outside(A: Arrangement, inside: frozenset):
-    images = _ess_images(A)
-    return [images[v] for v in A.normals if v not in inside]
-
-
-def _map_inside(A: Arrangement, inside: frozenset):
-    images = _ess_images(A)
-    return frozenset(images[v] for v in A.normals if v in inside)

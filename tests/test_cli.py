@@ -245,6 +245,23 @@ def test_audit_unknown_check_is_an_input_error(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("sample_j", ("-1", "0"))
+def test_audit_sample_j_below_one_is_an_input_error(capsys, sample_j):
+    code, out, err = run(capsys, "audit", "A3", "--sample-j", sample_j, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--sample-j" in err
+
+
+def test_certify_unwritable_out_is_an_input_error(tmp_path, capsys):
+    # a directory cannot be opened for writing: a stated reason, no traceback
+    code, out, err = run(capsys, "certify", "A3", "1", "2", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write certificate:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_verify_exceptional_e6(tmp_path, capsys):
     # w_65 has no chain BP decomposition (criterion 7), so only the freeness
     # search can certify it; about 3 s from cold caches
