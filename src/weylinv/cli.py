@@ -18,9 +18,9 @@ from .freeness import inductively_free, verify_certificate
 from .inversion import inversion_arrangement
 from .polynomials import linear_split
 from .smoothness import (
-    ALL_CHECKS, AUDIT_GUARD, PATTERNS, avoids_perm_pattern, complete_chain_bp,
-    exceptional_element, exceptional_exponents, exponents_of, hlss, inversion_graph,
-    is_chordal, parabolic_poincare, pattern_hits, perm_of, theorem_audit,
+    ALL_CHECKS, AUDIT_GUARD, PATTERNS, AuditGuardError, avoids_perm_pattern,
+    complete_chain_bp, exceptional_element, exceptional_exponents, exponents_of, hlss,
+    inversion_graph, is_chordal, parabolic_poincare, pattern_hits, perm_of, theorem_audit,
 )
 from .weyl import WeylGroup, poincare
 
@@ -119,16 +119,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_audit(args) -> int:
     g = _group(args.system)
-    checks = args.checks.split(",") if args.checks else None
-    unknown = sorted(set(checks or ()) - set(ALL_CHECKS))
-    if unknown:
-        raise CLIError(EXIT_INPUT, f"unknown checks: {','.join(unknown)}")
+    checks = None
+    if args.checks is not None:
+        checks = args.checks.split(",")
+        if "" in checks:
+            raise CLIError(EXIT_INPUT, f"--checks {args.checks!r} has an empty check name; "
+                                       f"name some of {','.join(ALL_CHECKS)}")
+        unknown = sorted(set(checks) - set(ALL_CHECKS))
+        if unknown:
+            raise CLIError(EXIT_INPUT, f"unknown checks: {','.join(unknown)}")
     if args.sample_j is not None and args.sample_j < 1:
         raise CLIError(EXIT_INPUT, f"--sample-j must be at least 1, not {args.sample_j}")
     try:
         report = theorem_audit(g, checks=checks, sample_j=args.sample_j,
                                seed=args.seed, override=args.override)
-    except ValueError as e:
+    except AuditGuardError as e:
         print(str(e), file=sys.stderr)
         return EXIT_GUARD
     out = {

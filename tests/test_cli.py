@@ -7,6 +7,7 @@ import time
 import pytest
 
 import weylinv
+from weylinv import smoothness
 from weylinv.cache import clear_caches
 from weylinv.cli import TABLE1, main
 from weylinv.smoothness import exceptional_element
@@ -243,6 +244,27 @@ def test_audit_unknown_check_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("checks", (",", ""))
+def test_audit_empty_check_name_is_an_input_error(capsys, checks):
+    # "" used to run all four checks and "," to report "unknown checks: "
+    code, out, err = run(capsys, "audit", "A3", "--checks", checks, "--json")
+    assert code == 2
+    assert out == ""
+    assert "empty check name" in err
+
+
+def test_audit_program_error_is_not_a_guard_refusal(capsys, monkeypatch):
+    # only the group-size guard exits 4 (test_audit_guard_refuses_large_group);
+    # any other ValueError is a fault
+    def fault(w):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(smoothness, "rationally_smooth", fault)
+    with pytest.raises(ValueError, match="injected fault"):
+        main(["audit", "A3", "--json"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("sample_j", ("-1", "0"))

@@ -1,22 +1,26 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 
+import audit_oracle
 import lattice_oracle as lat
 import pattern_oracle as ref
 from weylinv.arrangement import is_supersolvable, poincare_polynomial, Arrangement
+from weylinv import freeness, smoothness
 from weylinv.cache import clear_caches
 from weylinv.inversion import flatten, inversion_arrangement, inversion_set
 from weylinv.linalg import rank as matrix_rank
 from weylinv.freeness import inductively_free
 from weylinv.polynomials import q_int
 from weylinv.smoothness import (
-    PATTERNS, _pair_span_chain, avoids_perm_pattern, bp_decomposition, complete_chain_bp,
+    ALL_CHECKS, PATTERNS, ChainBPTree, _pair_span_chain, avoids_perm_pattern, bp_decomposition, complete_chain_bp,
     contains_pattern, coset_chain_poincare, exceptional_element,
     exceptional_exponents, exceptional_poincare, exponents_of, find_chain_bp,
     hlss, inversion_graph, is_bp, is_chordal,
     parabolic_exponents, parabolic_poincare, pattern_hits, perm_of,
-    rationally_smooth, tree_exponents, word_of,
+    rationally_smooth, theorem_audit, tree_exponents, word_of,
 )
 from weylinv.weyl import (
     WeylGroup, absolute_length, bruhat_graph_distance, bruhat_leq, coset_poincare,
@@ -450,3 +454,91 @@ def test_avoids_perm_pattern():
     assert not avoids_perm_pattern((5, 2, 4, 3, 1), (4, 2, 3, 1))
     assert not avoids_perm_pattern((5, 3, 4, 1, 2), (3, 4, 1, 2))
     assert avoids_perm_pattern((1, 2, 3), (2, 1))
+
+
+# -- the combined audit ------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_caches():
+    # injected faults reach the memos (complete_chain_bp recurses through its
+    # module-level name); no other test may see them
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def check_subsets():
+    for k in range(1, len(ALL_CHECKS) + 1):
+        yield from itertools.combinations(ALL_CHECKS, k)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_audit_matches_eager_oracle(name, fresh_caches):
+    g = WeylGroup.get(name)
+    for checks in check_subsets():
+        assert theorem_audit(g, checks) == audit_oracle.theorem_audit(g, checks), checks
+
+
+@pytest.mark.parametrize("name, checks, sample_j, seed", [
+    ("B4", ("supersolvable", "hlss"), None, 0),
+    ("D4", ALL_CHECKS, 12, 3),
+])
+def test_audit_matches_eager_oracle_on_benchmark_options(name, checks, sample_j, seed,
+                                                         fresh_caches):
+    g = WeylGroup.get(name)
+    assert theorem_audit(g, checks, sample_j, seed) == \
+        audit_oracle.theorem_audit(g, checks, sample_j, seed)
+
+
+def first_non_smooth(g):
+    return next(w for w in sorted_elements(g) if not rationally_smooth(w))
+
+
+def tree_for_one_non_smooth_element(g):
+    target = first_non_smooth(g)
+    real = smoothness.complete_chain_bp
+    return "complete_chain_bp", lambda w: ChainBPTree(None, None) if w == target else real(w)
+
+
+def no_tree_for_one_smooth_element(g):
+    target = longest_element(g)
+    real = smoothness.complete_chain_bp
+    return "complete_chain_bp", lambda w: None if w == target else real(w)
+
+
+def never_supersolvable(g):
+    return "is_supersolvable", lambda A: (False, None)
+
+
+def never_free(g):
+    real = freeness.inductively_free
+    return "inductively_free", lambda A, **kw: dataclasses.replace(
+        real(A, **kw), status=freeness.NOT_INDUCTIVELY_FREE, coexponents=None)
+
+
+def one_non_smooth_element_smooth(g):
+    # smooth with pi(1) != |[e, w]| (4231 in A3, which is free): the audit
+    # skips the freeness search and must still report its status
+    target = next(w for w in sorted_elements(g) if not rationally_smooth(w) and
+                  poincare_polynomial(inversion_arrangement(w))(1) != len(g.bruhat_interval(w)))
+    real = smoothness.rationally_smooth
+    return "rationally_smooth", lambda w: True if w == target else real(w)
+
+
+@pytest.mark.parametrize("fault", [
+    tree_for_one_non_smooth_element, no_tree_for_one_smooth_element,
+    never_supersolvable, never_free, one_non_smooth_element_smooth,
+])
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_audit_reports_injected_faults_like_eager_oracle(name, fault, monkeypatch,
+                                                         fresh_caches):
+    g = WeylGroup.get(name)
+    attr, fake = fault(g)
+    # every module that holds the name, as each audit looks it up there
+    for module in (smoothness, freeness, audit_oracle):
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, fake)
+    report = theorem_audit(g)
+    assert report["counterexamples"]
+    assert report == audit_oracle.theorem_audit(g)
