@@ -1,6 +1,7 @@
 """Inversion hyperplane arrangements of Weyl group elements: Bruhat order,
-NBC enumeration, inductive freeness with certificates, supersolvability,
-chain BP decompositions, and root-system pattern avoidance."""
+Poincaré polynomials by deletion-restriction and NBC sets, inductive freeness
+with certificates, supersolvability, chain BP decompositions, and
+root-system pattern avoidance."""
 
 from .arrangement import (
     Arrangement, characteristic_polynomial, coatoms, deletion, flat_of,

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import cached
-from .linalg import Eliminator, kernel_basis, pivot_columns, primitive, rank as matrix_rank
+from .linalg import Eliminator, pivot_columns, primitive, rank as matrix_rank
 from .polynomials import IntPolynomial
 
 Normal = Tuple[int, ...]
@@ -28,8 +29,24 @@ class Arrangement:
         for v in canon:
             if len(v) != dim:
                 raise ValueError("normal has wrong dimension")
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "normals", tuple(canon))
+        self._set(int(dim), tuple(canon))
+
+    @classmethod
+    def _canonical(cls, dim: int, normals: Tuple[Normal, ...]) -> "Arrangement":
+        """The arrangement of normals that are already canonical: distinct,
+        sorted, primitive, first nonzero entry positive, of length dim."""
+        A = object.__new__(cls)
+        A._set(dim, normals)
+        return A
+
+    def _set(self, dim: int, normals: Tuple[Normal, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "normals", normals)
+        # every memo lookup hashes its key, so the hash is computed once
+        object.__setattr__(self, "_hash", hash((dim, normals)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.normals)
@@ -55,43 +72,56 @@ def flat_of(A: Arrangement, indices: Iterable[int]) -> Flat:
     return Flat(_closure(A, indices))
 
 
+def _hyperplane(A: Arrangement, normal: Sequence[int]) -> Normal:
+    """A's own normal equal to `normal`, which is already canonical, or
+    else the primitive form of `normal`."""
+    try:
+        return A.normals[A.normals.index(normal)]
+    except ValueError:
+        return primitive(normal)
+
+
 def deletion(A: Arrangement, normal: Sequence[int]) -> Arrangement:
-    return _deletion(A, primitive(normal))
+    return _deletion(A, _hyperplane(A, normal))
 
 
 @cached
 def _deletion(A: Arrangement, h: Normal) -> Arrangement:
-    if h not in A.normals:
-        raise ValueError("hyperplane not in arrangement")
-    return Arrangement(A.dim, [v for v in A.normals if v != h])
-
-
-def restriction_basis(normal: Sequence[int]) -> Tuple[Tuple, ...]:
-    """Canonical (RREF-derived) basis of the hyperplane ker(normal)."""
-    return kernel_basis([primitive(normal)], len(normal))
+    try:
+        i = A.normals.index(h)
+    except ValueError:
+        raise ValueError("hyperplane not in arrangement") from None
+    return Arrangement._canonical(A.dim, A.normals[:i] + A.normals[i + 1:])
 
 
 def restriction(A: Arrangement, normal: Sequence[int]) -> Arrangement:
-    return _restriction(A, primitive(normal))
+    return _restriction(A, _hyperplane(A, normal))
 
 
 @cached
 def _restriction(A: Arrangement, h: Normal) -> Arrangement:
+    """A^H in the coordinates of the canonical (RREF-derived) basis of
+    ker(h).  With p the first nonzero column of h, that basis has one vector
+    per column f != p, ±(h_p·e_f − h_f·e_p)/gcd(h_p, h_f), negated exactly
+    when p < f and h_f > 0 so that its first nonzero entry is positive; the
+    coordinate f of a normal v is its dot product with that vector."""
     if h not in A.normals:
         raise ValueError("hyperplane not in arrangement")
-    basis = restriction_basis(h)
-    restricted = []
-    for v in A.normals:
-        if v == h:
-            continue
-        restricted.append(tuple(sum(x * y for x, y in zip(v, b)) for b in basis))
-    return Arrangement(A.dim - 1, [r for r in restricted if any(r)])
+    p = next(j for j, x in enumerate(h) if x)
+    hp = h[p]
+    coeffs = []   # (f, a, b): coordinate f of v is a·v_f − b·v_p
+    for f, hf in enumerate(h):
+        if f != p:
+            g = -gcd(hp, hf) if f > p and hf > 0 else gcd(hp, hf)
+            coeffs.append((f, hp // g, hf // g))
+    return Arrangement(A.dim - 1, [tuple([a * v[f] - b * v[p] for f, a, b in coeffs])
+                                   for v in A.normals if v != h])
 
 
 def localization(A: Arrangement, X: Flat) -> Arrangement:
     if _closure(A, X.contains) != X.contains:
         raise ValueError("not a flat of this arrangement")
-    return Arrangement(A.dim, [A.normals[i] for i in sorted(X.contains)])
+    return Arrangement._canonical(A.dim, tuple(A.normals[i] for i in sorted(X.contains)))
 
 
 @cached
@@ -151,9 +181,6 @@ def nbc_counts_by_size(A: Arrangement, order: Optional[Sequence[Normal]] = None)
     return counts or [1]
 
 
-_T = IntPolynomial((0, 1))
-
-
 @cached
 def poincare_polynomial(A: Arrangement) -> IntPolynomial:
     """π(A) by deletion-restriction, π(B) = π(B − H) + t·π(B^H) (Orlik-Terao
@@ -165,7 +192,8 @@ def poincare_polynomial(A: Arrangement) -> IntPolynomial:
     acc = IntPolynomial((0,))
     while B.dim > 2:
         H = B.normals[0]
-        acc = acc + _T * poincare_polynomial(quotient_by_center(restriction(B, H)))
+        res = poincare_polynomial(quotient_by_center(restriction(B, H)))
+        acc = acc + IntPolynomial((0,) + res.coeffs)   # + t·π(B^H)
         B = quotient_by_center(deletion(B, H))
     m = len(B.normals)
     return acc + IntPolynomial((1, m, m - 1)[:B.dim + 1])

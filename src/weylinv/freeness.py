@@ -20,7 +20,7 @@ from .arrangement import (
     poincare_polynomial, quotient_by_center, restriction,
 )
 from .cache import CACHE_SIZE
-from .linalg import pivot_columns, primitive, rank as matrix_rank
+from .linalg import pivot_columns, primitive
 from .polynomials import IntPolynomial, linear_split
 
 FREE = "free"
@@ -61,7 +61,7 @@ class _Search:
         if ess.dim <= 2:
             return FREE
         # the pivot found depends on the order, so the order is part of the key
-        key = (order, ess.dim, ess.normals)
+        key = (order, ess)
         hit = self.memo.get(key)
         if hit is not None:
             return hit[0]
@@ -108,7 +108,7 @@ class _Search:
             return None
         if self.decide(ess, order) != FREE:
             raise ValueError("arrangement is not known to be inductively free")
-        pivot = self.memo[(order, ess.dim, ess.normals)][1]
+        pivot = self.memo[(order, ess)][1]
         return {
             "pivot": list(pivot),
             "del": self.certificate(deletion(ess, pivot), order),
@@ -145,8 +145,8 @@ def freeness_certificate(A: Arrangement, budget: Optional[int] = None, order: st
 #
 # The verifier shares only the basic arrangement primitives (deletion,
 # restriction, essentialization); none of the search logic, memo, or the
-# split-polynomial pre-filter.  Leaf exponents come from a self-contained
-# NBC enumeration.
+# split-polynomial pre-filter.  Leaf exponents come from the closed form of
+# π at essential rank <= 2.
 
 
 class CertificateReject(Exception):
@@ -156,50 +156,15 @@ class CertificateReject(Exception):
         super().__init__(f"{reason} at {'/'.join(self.path) or 'root'}")
 
 
-def _nbc_count_poly(A: Arrangement) -> List[int]:
-    """Self-contained NBC size counts (brute force, used only at rank <= 2)."""
-    normals = list(A.normals)
-    m = len(normals)
-    counts = [0] * (A.dim + 1)
-
-    def independent(vs):
-        return matrix_rank(vs) == len(vs)
-
-    def span_contains(vs, g):
-        return matrix_rank(list(vs) + [g]) == matrix_rank(vs)
-
-    def subsets(i, current):
-        yield current
-        for j in range(i, m):
-            if independent(current + [normals[j]]):
-                yield from subsets(j + 1, current + [normals[j]])
-
-    for B in subsets(0, []):
-        ok = True
-        for g in normals:
-            if g in B:
-                continue
-            smaller = [b for b in B if b < g]
-            if smaller and span_contains(smaller, g):
-                ok = False
-                break
-        if ok:
-            counts[len(B)] += 1
-    return counts
-
-
 def _verify(A: Arrangement, cert, path) -> List[int]:
     ess = quotient_by_center(A)
     l = ess.dim
     if cert is None:
         if l > 2:
             raise CertificateReject(path, "leaf certificate at effective rank > 2")
-        counts = _nbc_count_poly(ess)
-        poly = IntPolynomial(counts)
-        roots = linear_split(poly)
-        if roots is None:
-            raise CertificateReject(path, "leaf Poincare polynomial does not split")
-        return sorted(roots + [0] * (l - len(roots)))
+        # m hyperplanes of essential rank l <= 2 have π = (1, m, m − 1)[:l + 1],
+        # which is (1 + t)(1 + (m − 1)t) truncated to degree l
+        return [1, len(ess.normals) - 1][:l]
     if not isinstance(cert, dict) or set(cert) != {"pivot", "del", "res"}:
         raise CertificateReject(path, "malformed certificate node")
     pivot = cert["pivot"]

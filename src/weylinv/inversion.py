@@ -122,4 +122,6 @@ def flatten(w: WeylElement, U_basis: Sequence[Sequence[int]]) -> Tuple[WeylEleme
 
 
 def inversion_arrangement(w: WeylElement) -> Arrangement:
-    return Arrangement(w.group.rank, inversion_set(w).roots)
+    # W preserves the root lattice, so every positive root is primitive with
+    # a positive first nonzero entry: the sorted roots are already canonical
+    return Arrangement._canonical(w.group.rank, tuple(sorted(inversion_set(w).roots)))

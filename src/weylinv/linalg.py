@@ -153,8 +153,11 @@ def kernel_basis(rows: Iterable[Sequence], ncols: int) -> Matrix:
 
 def primitive(vec: Sequence) -> Vector:
     """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
-    ints = _integral(vec)
-    g = gcd(*ints)
+    try:
+        ints, g = vec, gcd(*vec)   # raises TypeError on any entry that is not an int
+    except TypeError:
+        ints = _integral(vec)
+        g = gcd(*ints)
     if g == 0:
         return tuple(0 for _ in ints)
     if next(x for x in ints if x) < 0:

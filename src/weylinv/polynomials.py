@@ -154,7 +154,13 @@ def q_integer_factorization(p: IntPolynomial):
 
 
 def linear_split(p: IntPolynomial):
-    """Multiset {d_i >= 1} with p = prod (1 + d_i t), or None if p does not split."""
+    """Multiset {d_i >= 1} with p = prod (1 + d_i t), sorted, or None if p does not split."""
+    roots = _linear_split(p)
+    return None if roots is None else list(roots)
+
+
+@cached
+def _linear_split(p: IntPolynomial) -> Optional[Tuple[int, ...]]:
     if p.coeffs[0] != 1:
         return None
     roots = []
@@ -170,4 +176,4 @@ def linear_split(p: IntPolynomial):
             poly = q
         else:
             d += 1
-    return sorted(roots) if poly == ONE else None
+    return tuple(sorted(roots)) if poly == ONE else None

@@ -204,9 +204,9 @@ def exceptional_exponents(k: int, l: int) -> Tuple[int, ...]:
 
 
 def hlss(w: WeylElement) -> bool:
-    """NBC sets of the inversion arrangement vs the Bruhat interval size."""
-    nbc = poincare_polynomial(inversion_arrangement(w))(1)
-    return nbc == len(w.group.bruhat_interval(w))
+    """π(1) of the inversion arrangement, its number of NBC sets (π comes by
+    deletion-restriction), against the size of the Bruhat interval [e, w]."""
+    return poincare_polynomial(inversion_arrangement(w))(1) == len(w.group.bruhat_interval(w))
 
 
 # -- root system pattern avoidance ------------------------------------------

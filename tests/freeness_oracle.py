@@ -8,7 +8,9 @@ stores the essential coexponents next to the status and pivot.  The
 modular-coatom shortcut builds its coexponents from the localization's, and
 its certificate tests for a level with no outside hyperplane before it
 essentializes.  Differential tests compare `weylinv.freeness` against it;
-it shares only the arrangement primitives.
+it shares only the arrangement primitives.  `leaf_exponents` is the
+certificate verifier's leaf before the closed form: it splits π counted by a
+self-contained brute-force NBC enumeration.
 """
 
 from collections import Counter
@@ -20,7 +22,7 @@ from weylinv.arrangement import (
 )
 from weylinv.cache import CACHE_SIZE
 from weylinv.linalg import pivot_columns, primitive, rank as matrix_rank
-from weylinv.polynomials import linear_split
+from weylinv.polynomials import IntPolynomial, linear_split
 
 FREE = "free"
 NOT_INDUCTIVELY_FREE = "not_inductively_free"
@@ -176,3 +178,45 @@ def _peel_certificate(A: Arrangement, inside: frozenset, budget, order):
 def _ess_images(A: Arrangement):
     pivots = pivot_columns(A.normals)
     return {v: primitive(tuple(v[p] for p in pivots)) for v in A.normals}
+
+
+def nbc_count_poly(A: Arrangement):
+    """Self-contained NBC size counts (brute force, used only at rank <= 2)."""
+    normals = list(A.normals)
+    m = len(normals)
+    counts = [0] * (A.dim + 1)
+
+    def independent(vs):
+        return matrix_rank(vs) == len(vs)
+
+    def span_contains(vs, g):
+        return matrix_rank(list(vs) + [g]) == matrix_rank(vs)
+
+    def subsets(i, current):
+        yield current
+        for j in range(i, m):
+            if independent(current + [normals[j]]):
+                yield from subsets(j + 1, current + [normals[j]])
+
+    for B in subsets(0, []):
+        ok = True
+        for g in normals:
+            if g in B:
+                continue
+            smaller = [b for b in B if b < g]
+            if smaller and span_contains(smaller, g):
+                ok = False
+                break
+        if ok:
+            counts[len(B)] += 1
+    return counts
+
+
+def leaf_exponents(A: Arrangement):
+    """Essential exponents of a certificate leaf of essential rank <= 2, or
+    None if its counted π does not split."""
+    ess = quotient_by_center(A)
+    roots = linear_split(IntPolynomial(nbc_count_poly(ess)))
+    if roots is None:
+        return None
+    return sorted(roots + [0] * (ess.dim - len(roots)))

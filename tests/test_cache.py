@@ -32,7 +32,8 @@ def test_the_cached_functions():
     assert sorted(cached_functions()) == [
         "arrangement._deletion", "arrangement._restriction",
         "arrangement._supersolvable_chain", "arrangement.poincare_polynomial",
-        "arrangement.quotient_by_center", "cli.build_parser", "polynomials.cyclotomic",
+        "arrangement.quotient_by_center", "cli.build_parser", "polynomials._linear_split",
+        "polynomials.cyclotomic",
         "smoothness.complete_chain_bp", "smoothness.pattern_hits",
         "weyl.WeylGroup.bruhat_interval", "weyl.WeylGroup.elements",
     ]

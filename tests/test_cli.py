@@ -300,6 +300,25 @@ def test_certify_verify_exceptional_e6(tmp_path, capsys):
     assert out == f"accept: coexponents {list(TABLE1[(6, 5)])}\n"
 
 
+def test_certify_verify_exceptional_e7_w75(tmp_path, capsys):
+    # Table 1's E7 row on the arrangement side: w_75 has no chain BP
+    # decomposition either; about 10 s from cold caches on 2 cores
+    clear_caches()
+    word = [str(s + 1) for s in exceptional_element(7, 5).word()]
+    cert = str(tmp_path / "w75.json")
+    try:
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "certify", "E7", *word, "--out", cert)
+        assert code == 0
+        assert err == f"coexponents: {list(TABLE1[(7, 5)])}\n"
+        code, out, _ = run(capsys, "verify", "E7", *word, "--cert", cert)
+        assert time.monotonic() - t0 < 60
+        assert code == 0
+        assert out == f"accept: coexponents {list(TABLE1[(7, 5)])}\n"
+    finally:
+        clear_caches()
+
+
 def test_certify_refuses_non_free_element(capsys):
     code, _, err = run(capsys, "certify", "A3", "2", "3", "1", "2")
     assert code == 5

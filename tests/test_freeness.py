@@ -6,13 +6,16 @@ from hypothesis import given
 
 import freeness_oracle as ref
 from test_arrangement import random_arrangements
-from weylinv.arrangement import Arrangement, coatoms, flat_of, is_modular_coatom
+from weylinv.arrangement import (
+    Arrangement, coatoms, deletion, flat_of, is_modular_coatom, quotient_by_center, restriction,
+)
 from weylinv.cache import clear_caches
 from weylinv.freeness import (
     _search, freeness_certificate, inductively_free, modular_coatom_freeness, verify_certificate,
 )
 from weylinv.inversion import inversion_arrangement, inversion_set
 from weylinv.polynomials import IntPolynomial, linear_split
+from weylinv.smoothness import exceptional_element
 from weylinv.weyl import WeylGroup, longest_element
 
 
@@ -221,3 +224,53 @@ def test_modular_coatom_freeness_matches_oracle(name):
                 res = modular_coatom_freeness(A, X, order=order)
                 assert (res.status, res.coexponents, res.certificate) == \
                     ref.modular_coatom_freeness(A, X, order=order)
+
+
+# -- certificate leaves: closed form against the brute-force NBC count ------
+
+
+def certificate_leaves(A, cert, out):
+    """Add to out the essential arrangements at the leaves of a certificate."""
+    ess = quotient_by_center(A)
+    if cert is None:
+        out.add(ess)
+    else:
+        pivot = tuple(cert["pivot"])
+        certificate_leaves(deletion(ess, pivot), cert["del"], out)
+        certificate_leaves(restriction(ess, pivot), cert["res"], out)
+    return out
+
+
+def assert_leaf_matches_nbc_count(A):
+    l = quotient_by_center(A).dim
+    if l > 2:
+        assert verify_certificate(A, None) == \
+            ("reject", ((), "leaf certificate at effective rank > 2"))
+    else:
+        exps = ref.leaf_exponents(A)
+        assert verify_certificate(A, None) == ("accept", tuple([0] * (A.dim - l) + exps))
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "C3", "G2", "D4", "w65"))
+def test_closed_form_leaves_match_nbc_count(name):
+    elements = [exceptional_element(6, 5)] if name == "w65" else WeylGroup.get(name).elements()
+    leaves = set()
+    for w in elements:
+        A = inversion_arrangement(w)
+        for order in ("lex", "height"):
+            res = inductively_free(A, order=order, with_certificate=True)
+            if res.free:
+                certificate_leaves(A, res.certificate, leaves)
+    assert leaves
+    for L in leaves:
+        assert_leaf_matches_nbc_count(L)
+
+
+@given(random_arrangements)
+def test_closed_form_leaf_matches_nbc_count_on_random_arrangements(A):
+    assert_leaf_matches_nbc_count(A)
+    for v in A.normals:
+        R = restriction(A, v)
+        assert_leaf_matches_nbc_count(R)
+        for u in R.normals:
+            assert_leaf_matches_nbc_count(restriction(R, u))

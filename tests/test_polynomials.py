@@ -59,6 +59,15 @@ def test_linear_split_round_trip(ds):
     assert linear_split(p) == sorted(ds)
 
 
+def test_linear_split_returns_a_fresh_list():
+    # the split is memoized; a caller that changes its list changes no other's
+    p = IntPolynomial((1, 5, 6))
+    roots = linear_split(p)
+    roots.append(7)
+    assert linear_split(p) == [2, 3]
+    assert linear_split(p) is not linear_split(p)
+
+
 def test_linear_split_failure():
     # 1 + 3t + 3t^2 is irreducible over the rationals
     assert linear_split(IntPolynomial((1, 3, 3))) is None
