@@ -10,8 +10,7 @@ from .arrangement import (
 )
 from .cache import clear_caches
 from .freeness import (
-    FreenessResult, freeness_certificate, inductively_free,
-    modular_coatom_freeness, verify_certificate,
+    FreenessResult, inductively_free, verify_certificate,
 )
 from .inversion import (
     OrderedInversionSet, element_from_biconvex, flatten, inversion_arrangement,
@@ -25,9 +24,8 @@ from .smoothness import (
     rationally_smooth, theorem_audit, tree_exponents,
 )
 from .weyl import (
-    WeylElement, WeylGroup, absolute_length, bruhat_graph_distance,
-    bruhat_interval, bruhat_leq, coset_poincare, longest_element,
-    parabolic_decomposition, poincare,
+    WeylElement, WeylGroup, bruhat_interval, bruhat_leq, coset_poincare,
+    longest_element, parabolic_decomposition, poincare,
 )
 
 __version__ = "0.1.0"

@@ -23,10 +23,10 @@ def cached(fn):
 def clear_caches():
     """Empty every memo, the shared search memo and the Weyl group registry
     (a group's interned elements go with it)."""
-    from .freeness import _search
+    from .freeness import _memo
     from .weyl import WeylGroup
 
     for memo in _memos:
         memo.cache_clear()
-    _search.memo.clear()
+    _memo.clear()
     WeylGroup._cache.clear()

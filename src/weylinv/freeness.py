@@ -16,16 +16,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .arrangement import (
-    Arrangement, Flat, deletion, is_modular_coatom, localization,
-    poincare_polynomial, quotient_by_center, restriction,
+    Arrangement, deletion, poincare_polynomial, quotient_by_center, restriction,
 )
 from .cache import CACHE_SIZE
-from .linalg import pivot_columns, primitive
 from .polynomials import IntPolynomial, linear_split
 
 FREE = "free"
 NOT_INDUCTIVELY_FREE = "not_inductively_free"
-UNDETERMINED = "undetermined"
 
 
 @dataclass
@@ -41,41 +38,35 @@ class FreenessResult:
         return self.status == FREE
 
 
-class _Search:
-    """Memo of decided arrangements. Without a budget it is the shared,
-    process-wide instance, emptied when it reaches CACHE_SIZE entries; with
-    one it is fresh per call and gives up once it holds `budget` entries."""
+# (order, essential arrangement) -> (status, pivot); the pivot found depends
+# on the order, so the order is part of the key.  A plain dict, not `cached`:
+# the memo check and the pivot loop stay in one function, so each level of
+# the deletion chain costs one Python frame.  Emptied at CACHE_SIZE entries.
+_memo: Dict[tuple, tuple] = {}
 
-    def __init__(self, budget: Optional[int] = None):
-        self.memo: Dict[tuple, tuple] = {}   # key -> (status, pivot)
-        self.budget = budget
 
-    def pivot_order(self, ess: Arrangement, order: str) -> List[tuple]:
-        if order == "height":
-            return sorted(ess.normals, key=lambda v: (-sum(abs(x) for x in v), v))
-        return list(ess.normals)
+def _pivot_order(ess: Arrangement, order: str) -> List[tuple]:
+    if order == "height":
+        return sorted(ess.normals, key=lambda v: (-sum(abs(x) for x in v), v))
+    return list(ess.normals)
 
-    def decide(self, A: Arrangement, order: str) -> str:
-        """Status of the essentialization of A."""
-        ess = quotient_by_center(A)
-        if ess.dim <= 2:
-            return FREE
-        # the pivot found depends on the order, so the order is part of the key
-        key = (order, ess)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit[0]
-        if self.budget is not None and len(self.memo) >= self.budget:
-            # over budget: give up instead of re-deriving without the memo
-            return UNDETERMINED
 
-        roots = linear_split(poincare_polynomial(ess))
-        if roots is None:
-            return self._store(key, NOT_INDUCTIVELY_FREE, None)
+def _decide(A: Arrangement, order: str) -> tuple:
+    """(status, pivot) of the essentialization of A; the pivot is None at
+    essential rank <= 2 and when the arrangement is not inductively free."""
+    ess = quotient_by_center(A)
+    if ess.dim <= 2:
+        return FREE, None
+    key = (order, ess)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit
 
+    found = NOT_INDUCTIVELY_FREE, None
+    roots = linear_split(poincare_polynomial(ess))
+    if roots is not None:
         target = Counter(roots)
-        undetermined = False
-        for pivot in self.pivot_order(ess, order):
+        for pivot in _pivot_order(ess, order):
             res_A = restriction(ess, pivot)
             # B^H is essential, one rank below B.  If π(B) = π(B^H)·(1 + (e+1)t),
             # then π(B - H) = π(B) - t·π(B^H) = π(B^H)·(1 + e·t) splits too,
@@ -83,40 +74,27 @@ class _Search:
             mres = linear_split(poincare_polynomial(res_A))
             if mres is None or sum((target - Counter(mres)).values()) != 1:
                 continue
-            status = self.decide(deletion(ess, pivot), order)
-            if status == FREE:
-                status = self.decide(res_A, order)
-            if status == FREE:
-                return self._store(key, FREE, pivot)
-            undetermined = undetermined or status == UNDETERMINED
-        if undetermined:
-            return UNDETERMINED
-        return self._store(key, NOT_INDUCTIVELY_FREE, None)
-
-    def _store(self, key, status, pivot):
-        if len(self.memo) >= (CACHE_SIZE if self.budget is None else self.budget):
-            if self.budget is not None:
-                return UNDETERMINED
-            self.memo.clear()   # entries are pure, so any of them may go
-        self.memo[key] = (status, pivot)
-        return status
-
-    def certificate(self, A: Arrangement, order: str):
-        """Nested pivot tree (None = leaf) for an arrangement already decided free."""
-        ess = quotient_by_center(A)
-        if ess.dim <= 2:
-            return None
-        if self.decide(ess, order) != FREE:
-            raise ValueError("arrangement is not known to be inductively free")
-        pivot = self.memo[(order, ess)][1]
-        return {
-            "pivot": list(pivot),
-            "del": self.certificate(deletion(ess, pivot), order),
-            "res": self.certificate(restriction(ess, pivot), order),
-        }
+            if (_decide(deletion(ess, pivot), order)[0] == FREE
+                    and _decide(res_A, order)[0] == FREE):
+                found = FREE, pivot
+                break
+    if len(_memo) >= CACHE_SIZE:
+        _memo.clear()   # entries are pure, so any of them may go
+    _memo[key] = found
+    return found
 
 
-_search = _Search()
+def _certificate(A: Arrangement, order: str):
+    """Nested pivot tree (None = leaf) of an inductively free arrangement."""
+    ess = quotient_by_center(A)
+    if ess.dim <= 2:
+        return None
+    pivot = _decide(ess, order)[1]
+    return {
+        "pivot": list(pivot),
+        "del": _certificate(deletion(ess, pivot), order),
+        "res": _certificate(restriction(ess, pivot), order),
+    }
 
 
 def _coexponents(roots: List[int], dim: int) -> Tuple[int, ...]:
@@ -125,20 +103,15 @@ def _coexponents(roots: List[int], dim: int) -> Tuple[int, ...]:
     return tuple([0] * (dim - len(roots)) + roots)
 
 
-def inductively_free(A: Arrangement, budget: Optional[int] = None,
-                     order: str = "lex", with_certificate: bool = False) -> FreenessResult:
-    search = _search if budget is None else _Search(budget)
+def inductively_free(A: Arrangement, order: str = "lex",
+                     with_certificate: bool = False) -> FreenessResult:
     q = poincare_polynomial(A)
     roots = linear_split(q)
-    status = search.decide(A, order)
+    status = _decide(A, order)[0]
     if status == FREE:
-        cert = search.certificate(A, order) if with_certificate else None
+        cert = _certificate(A, order) if with_certificate else None
         return FreenessResult(FREE, _coexponents(roots, A.dim), q, True, cert)
     return FreenessResult(status, None, q, roots is not None, None)
-
-
-def freeness_certificate(A: Arrangement, budget: Optional[int] = None, order: str = "lex"):
-    return (_search if budget is None else _Search(budget)).certificate(A, order)
 
 
 # -- independent verifier --------------------------------------------------
@@ -195,40 +168,3 @@ def verify_certificate(A: Arrangement, cert):
         return "reject", ((), f"malformed certificate: {e}")
     full = sorted(ess_exps + [0] * (A.dim - len(ess_exps)))
     return "accept", tuple(full)
-
-
-def modular_coatom_freeness(A: Arrangement, X: Flat,
-                            budget: Optional[int] = None, order: str = "lex") -> FreenessResult:
-    """Freeness shortcut through a modular coatom (with certificate synthesis)."""
-    if not is_modular_coatom(A, X):
-        raise ValueError("flat is not a modular coatom")
-    AX = localization(A, X)
-    inner = inductively_free(AX, budget, order)
-    q = poincare_polynomial(A)
-    roots = linear_split(q)
-    if not inner.free:
-        return FreenessResult(inner.status, None, q, roots is not None, None)
-    # π(A) = π(A_X)·(1 + |A - A_X|·t) for a modular coatom X, so A is free
-    # with the roots of π(A) as coexponents
-    cert = _peel_certificate(A, frozenset(AX.normals), budget, order)
-    return FreenessResult(FREE, _coexponents(roots, A.dim), q, True, cert)
-
-
-def _peel_certificate(A: Arrangement, inside: frozenset, budget, order):
-    ess = quotient_by_center(A)
-    if ess.dim <= 2:
-        return None
-    # peeling changes coordinates under essentialization; map every normal
-    # to its essential image once and split the images by `inside`
-    pivots = pivot_columns(A.normals)
-    images = {v: primitive(tuple(v[p] for p in pivots)) for v in A.normals}
-    ess_out = [images[v] for v in A.normals if v not in inside]
-    if not ess_out:
-        return freeness_certificate(ess, budget, order)
-    pivot = max(ess_out)
-    ess_in = frozenset(images[v] for v in A.normals if v in inside)
-    return {
-        "pivot": list(pivot),
-        "del": _peel_certificate(deletion(ess, pivot), ess_in, budget, order),
-        "res": freeness_certificate(restriction(ess, pivot), budget, order),
-    }

@@ -20,7 +20,6 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .cache import cached
-from .linalg import rank as matrix_rank
 from .polynomials import IntPolynomial
 from .rootsys import Root, RootSystem
 
@@ -276,39 +275,6 @@ def parabolic_decomposition(w: WeylElement, J: Iterable[int], side: str = "left"
             v = g.mul(v, g.generators[s])
             u = g.mul(g.generators[s], u)
     raise ValueError("side must be 'left' or 'right'")
-
-
-def absolute_length(w: WeylElement) -> int:
-    # rank of w - 1, read off its columns w(alpha_j) - alpha_j
-    rows = [tuple(x - int(i == j) for i, x in enumerate(w.apply(a)))
-            for j, a in enumerate(w.group.system.simple_roots)]
-    return matrix_rank(rows)
-
-
-def bruhat_graph_distance(u: WeylElement, w: WeylElement) -> Optional[int]:
-    """al(u, w); None means infinite (u not below w)."""
-    g = u.group
-    if not g.bruhat_leq(u, w):
-        return None
-    interval = g.bruhat_interval(w)
-    dist = {u: 0}
-    frontier = [u]
-    d = 0
-    while frontier:
-        if w in dist:
-            return dist[w]
-        d += 1
-        nxt = []
-        for x in frontier:
-            inv = x.inverse().perm
-            for t, j in zip(g.reflections, inv):
-                if j < g.n_pos:  # l(t x) > l(x) iff x^-1(beta) is positive
-                    tx = g.mul(t, x)
-                    if tx not in dist and tx in interval:
-                        dist[tx] = d
-                        nxt.append(tx)
-        frontier = nxt
-    return dist.get(w)
 
 
 def longest_element(group: WeylGroup, J: Optional[Iterable[int]] = None) -> WeylElement:

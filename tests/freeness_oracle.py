@@ -1,14 +1,15 @@
-"""Reference freeness search: the search that `weylinv.freeness._Search`
+"""Reference freeness search: the search that `weylinv.freeness._decide`
 replaced.
 
 Before recursing on a pivot it checks the addition theorem on the split
 Poincaré polynomials of both the deletion and the restriction, after each
 recursion it compares the child's exponents with that split, and its memo
-stores the essential coexponents next to the status and pivot.  The
-modular-coatom shortcut builds its coexponents from the localization's, and
-its certificate tests for a level with no outside hyperplane before it
-essentializes.  Differential tests compare `weylinv.freeness` against it;
-it shares only the arrangement primitives.  `leaf_exponents` is the
+stores the essential coexponents next to the status and pivot.  It also
+keeps the modular-coatom shortcut, which the package no longer has: its
+coexponents come from the localization's, and its certificate, peeled off
+the hyperplanes outside the coatom, is the one certificate in the tests that
+the search did not build.  Differential tests compare `weylinv.freeness`
+against it; it shares only the arrangement primitives.  `leaf_exponents` is the
 certificate verifier's leaf before the closed form: it splits π counted by a
 self-contained brute-force NBC enumeration.
 """

@@ -8,10 +8,9 @@ import pkgutil
 import weakref
 
 import weylinv
-from weylinv import WeylGroup, clear_caches
+from weylinv import WeylGroup, clear_caches, freeness
 from weylinv.cache import CACHE_SIZE
 from weylinv.cli import main
-from weylinv.freeness import _search
 
 
 def cached_functions():
@@ -56,10 +55,10 @@ def test_clear_caches_empties_every_memo_and_releases_groups(tmp_path, capsys):
     assert main(["audit", "A3", "--json"]) == 0
     capsys.readouterr()
     assert [n for n, fn in cached_functions().items() if not fn.cache_info().currsize] == []
-    assert _search.memo
+    assert freeness._memo
     groups = [weakref.ref(WeylGroup.get(name)) for name in ("A3", "B3")]
     clear_caches()
     assert [n for n, fn in cached_functions().items() if fn.cache_info().currsize] == []
-    assert not _search.memo
+    assert not freeness._memo
     gc.collect()
     assert [g() for g in groups] == [None, None]

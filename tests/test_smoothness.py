@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from typing import Optional
 
 import pytest
 
@@ -23,8 +24,8 @@ from weylinv.smoothness import (
     rationally_smooth, theorem_audit, tree_exponents, word_of,
 )
 from weylinv.weyl import (
-    WeylGroup, absolute_length, bruhat_graph_distance, bruhat_leq, coset_poincare,
-    longest_element, parabolic_decomposition, poincare,
+    WeylElement, WeylGroup, bruhat_leq, coset_poincare, longest_element,
+    parabolic_decomposition, poincare,
 )
 
 
@@ -220,6 +221,39 @@ def test_exceptional_element_e7_interval_counted_directly():
 
 
 # -- HLSS --------------------------------------------------------------------
+
+
+def absolute_length(w: WeylElement) -> int:
+    # rank of w - 1, read off its columns w(alpha_j) - alpha_j
+    rows = [tuple(x - int(i == j) for i, x in enumerate(w.apply(a)))
+            for j, a in enumerate(w.group.system.simple_roots)]
+    return matrix_rank(rows)
+
+
+def bruhat_graph_distance(u: WeylElement, w: WeylElement) -> Optional[int]:
+    """al(u, w); None means infinite (u not below w)."""
+    g = u.group
+    if not g.bruhat_leq(u, w):
+        return None
+    interval = g.bruhat_interval(w)
+    dist = {u: 0}
+    frontier = [u]
+    d = 0
+    while frontier:
+        if w in dist:
+            return dist[w]
+        d += 1
+        nxt = []
+        for x in frontier:
+            inv = x.inverse().perm
+            for t, j in zip(g.reflections, inv):
+                if j < g.n_pos:  # l(t x) > l(x) iff x^-1(beta) is positive
+                    tx = g.mul(t, x)
+                    if tx not in dist and tx in interval:
+                        dist[tx] = d
+                        nxt.append(tx)
+        frontier = nxt
+    return dist.get(w)
 
 
 def hlss_by_distance(w):
