@@ -25,7 +25,10 @@ class Arrangement:
     normals: Tuple[Normal, ...]
 
     def __init__(self, dim: int, normals: Iterable[Sequence[int]]):
-        canon = sorted({primitive(v) for v in normals if any(v)})
+        try:
+            canon = sorted({primitive(v) for v in normals if any(v)})
+        except TypeError:
+            raise ValueError("normal entries must be integers") from None
         for v in canon:
             if len(v) != dim:
                 raise ValueError("normal has wrong dimension")
@@ -78,7 +81,10 @@ def _hyperplane(A: Arrangement, normal: Sequence[int]) -> Normal:
     try:
         return A.normals[A.normals.index(normal)]
     except ValueError:
-        return primitive(normal)
+        try:
+            return primitive(normal)
+        except TypeError:
+            raise ValueError("normal entries must be integers") from None
 
 
 def deletion(A: Arrangement, normal: Sequence[int]) -> Arrangement:
@@ -192,7 +198,7 @@ def poincare_polynomial(A: Arrangement) -> IntPolynomial:
     acc = IntPolynomial((0,))
     while B.dim > 2:
         H = B.normals[0]
-        res = poincare_polynomial(quotient_by_center(restriction(B, H)))
+        res = poincare_polynomial(restriction(B, H))
         acc = acc + IntPolynomial((0,) + res.coeffs)   # + t·π(B^H)
         B = quotient_by_center(deletion(B, H))
     m = len(B.normals)

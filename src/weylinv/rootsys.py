@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Eliminator, det, solve_coords
+from .linalg import Eliminator, det
 
 Root = Tuple[int, ...]
 
@@ -49,10 +49,12 @@ class CartanDatum:
             for j in range(n):
                 if B[i][j] != B[j][i]:
                     raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
-        # positive definiteness via leading principal minors
-        for k in range(1, n + 1):
-            if det([row[:k] for row in B[:k]]) <= 0:
-                raise ValueError("symmetrized Cartan form is not positive definite")
+        # B = diag(symmetrizer)·A, so its k-th leading principal minor is that
+        # of A times the first k symmetrizer entries: B is positive definite
+        # exactly when those entries and A's leading principal minors are > 0
+        if any(d <= 0 for d in self.symmetrizer) or any(
+                det([row[:k] for row in A[:k]]) <= 0 for k in range(1, n + 1)):
+            raise ValueError("symmetrized Cartan form is not positive definite")
 
     def form(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """Matrix of the Euclidean form: form[i][j] = (a_i, a_j)."""
@@ -221,17 +223,26 @@ class Subsystem:
     simple_roots: Tuple[Root, ...]          # ambient coordinates, canonical order
     datum: Optional[CartanDatum]            # None when empty
     type_components: Tuple[str, ...]        # e.g. ("A1", "B2"), sorted
+    # ambient root -> its coordinates in the Delta_U basis, built on first use
+    _coords: Optional[Dict[Root, Root]] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @property
     def type_string(self) -> str:
         return "+".join(self.type_components) if self.type_components else "empty"
 
     def coords(self, beta: Root) -> Root:
-        """Coordinates of an ambient subsystem root in the Delta_U basis."""
-        c = solve_coords(self.simple_roots, beta)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ValueError("vector is not in the subsystem lattice")
-        return c
+        """Coordinates in the Delta_U basis of a root of the subsystem, given
+        in ambient coordinates; ValueError on any other vector."""
+        if self._coords is None:
+            dims = range(self.ambient.rank)
+            object.__setattr__(self, "_coords", {
+                tuple(sum(c * d[j] for c, d in zip(gamma, self.simple_roots)) for j in dims): gamma
+                for gamma in self.system().all_roots})
+        try:
+            return self._coords[tuple(beta)]
+        except KeyError:
+            raise ValueError("vector is not a root of the subsystem") from None
 
     def system(self) -> RootSystem:
         """Abstract copy of the subsystem in its own simple-root coordinates."""

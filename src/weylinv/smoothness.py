@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import (
-    every_pair_meets, flat_of, is_supersolvable, matroid_rank,
+    every_pair_meets, flat_of, flats_of_rank, is_supersolvable, matroid_rank,
     poincare_polynomial,
 )
 from .cache import cached
 from .inversion import flatten, inversion_arrangement, inversion_set
-from .linalg import rref
+from .linalg import Eliminator
 from .polynomials import IntPolynomial, product, q_int, q_integer_factorization
 from .rootsys import RootSystem, Subsystem, cartan_isomorphisms, root_height
 from .weyl import (
@@ -253,16 +253,6 @@ PATTERNS: Dict[str, Pattern] = {
 }
 
 
-def _inversion_subspaces(inv: Sequence[tuple], r: int):
-    """RREF bases of all r-dimensional subspaces spanned by the roots inv."""
-    seen: Dict[tuple, tuple] = {}
-    for subset in itertools.combinations(inv, r):
-        key = rref(subset)
-        if len(key) == r and key not in seen:
-            seen[key] = subset
-    return seen.values()
-
-
 def _flattening_is(fl: WeylElement, sub: Subsystem, pat: Pattern) -> bool:
     """Whether the flattening fl, of type sub, is pat up to a Cartan isomorphism."""
     target = RootSystem.get(sub.type_string)
@@ -277,14 +267,20 @@ def pattern_hits(w: WeylElement) -> FrozenSet[str]:
     """Ids of the patterns that w contains.
 
     Every pattern has full support in its rank-r system, so the flattening of
-    w to a subspace U can be a pattern only if I(w) cap U spans U: the
-    subspaces spanned by r inversions of w are the only ones to scan, and
-    each is flattened once for all patterns."""
-    inv = tuple(sorted(inversion_set(w).roots))
+    w to a subspace U can be a pattern only if I(w) cap U spans U. Those
+    subspaces are the spans of the rank-r flats of I(w), so the scan runs
+    over those flats, flattening each once for all patterns through a basis
+    of its normals."""
+    A = inversion_arrangement(w)
+    rank = A.rank()
     hits = set()
     for r in sorted({RootSystem.get(p.realizations[0]).rank for p in PATTERNS.values()}):
-        for basis in _inversion_subspaces(inv, r):
-            fl, sub = flatten(w, basis)
+        if r > rank:
+            break   # I(w) has no flat of rank r
+        for X in flats_of_rank(A, r):
+            elim = Eliminator()
+            fl, sub = flatten(w, [v for i, v in enumerate(A.normals)
+                                  if i in X.contains and elim.add(v)])
             hits.update(pid for pid, pat in PATTERNS.items()
                         if sub.type_string in pat.realizations and _flattening_is(fl, sub, pat))
     return frozenset(hits)

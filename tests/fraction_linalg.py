@@ -1,13 +1,40 @@
 """Reference Fraction elimination: the routines the integer kernel replaced.
 
-Differential tests compare `weylinv.linalg` and the essentialization in
-`weylinv.arrangement` against these straightforward rational versions.
+Differential tests compare `weylinv.linalg`, the essentialization in
+`weylinv.arrangement`, the flats scanned by `weylinv.smoothness.pattern_hits`
+and `weylinv.rootsys.Subsystem.coords` against these straightforward
+rational versions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from weylinv.arrangement import Arrangement
-from weylinv.linalg import primitive
+
+
+def primitive(vec):
+    """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
+    vec = [Fraction(x) for x in vec]
+    d = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (d // x.denominator) for x in vec]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def cofactor_det(sub):
+    """Determinant by cofactor expansion along the first row."""
+    k = len(sub)
+    if k == 0:
+        return 1
+    out = 0
+    for j in range(k):
+        minor = [row[:j] + row[j + 1:] for row in sub[1:]]
+        out += (-1) ** j * sub[0][j] * cofactor_det(minor)
+    return out
 
 
 def rref(rows):
@@ -62,8 +89,9 @@ def solve_coords(basis, vec):
 
 
 def quotient_by_center(A):
-    """Normals re-expressed in the RREF basis of their span, one solve per normal."""
+    """Normals re-expressed in the RREF basis of their span, one solve per
+    normal, each scaled to primitive integer coordinates."""
     if not A.normals:
         return Arrangement(0, [])
     basis = rref(A.normals)
-    return Arrangement(len(basis), [solve_coords(basis, v) for v in A.normals])
+    return Arrangement(len(basis), [primitive(solve_coords(basis, v)) for v in A.normals])

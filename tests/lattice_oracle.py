@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
+import fraction_linalg as ref
 from weylinv.arrangement import localization
 from weylinv.inversion import inversion_set
-from weylinv.linalg import Eliminator, kernel_basis, rank as matrix_rank
+from weylinv.linalg import Eliminator, rank as matrix_rank
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ def _closure(A, indices):
 
 def flat_of(A, indices):
     closed = _closure(A, indices)
-    sub = kernel_basis([A.normals[i] for i in sorted(closed)], A.dim) if closed else \
+    sub = ref.kernel_basis([A.normals[i] for i in sorted(closed)], A.dim) if closed else \
         tuple(tuple(int(i == j) for j in range(A.dim)) for i in range(A.dim))
     return Flat(sub, closed)
 

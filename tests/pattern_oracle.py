@@ -6,23 +6,26 @@ roots of the whole system, whatever w is.  Differential tests compare
 `weylinv.smoothness.pattern_hits` against it.
 """
 
+import functools
 import itertools
 from typing import Dict
 
+import fraction_linalg as ref
 from weylinv.inversion import flatten
-from weylinv.linalg import rref
 from weylinv.rootsys import RootSystem, cartan_isomorphisms
 from weylinv.smoothness import PATTERNS
 
 
+@functools.lru_cache(maxsize=None)
 def _root_subspaces(system: RootSystem, r: int):
-    """RREF bases of all r-dimensional subspaces spanned by positive roots."""
+    """One basis of each r-dimensional subspace spanned by positive roots,
+    told apart by RREF."""
     seen: Dict[tuple, tuple] = {}
     for subset in itertools.combinations(system.positive_roots, r):
-        key = rref(subset)
+        key = ref.rref(subset)
         if len(key) == r and key not in seen:
             seen[key] = subset
-    return seen.values()
+    return tuple(seen.values())
 
 
 def contains_pattern(w, pattern_id: str) -> bool:

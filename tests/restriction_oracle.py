@@ -2,13 +2,17 @@
 `weylinv.arrangement` computed it before the closed form of that basis.
 Differential tests compare `weylinv.arrangement.restriction` against it."""
 
+import functools
+
+import fraction_linalg as ref
 from weylinv.arrangement import Arrangement
-from weylinv.linalg import kernel_basis, primitive
+from weylinv.linalg import primitive
 
 
+@functools.lru_cache(maxsize=None)
 def restriction_basis(normal):
     """Canonical (RREF-derived) basis of the hyperplane ker(normal)."""
-    return kernel_basis([primitive(normal)], len(normal))
+    return ref.kernel_basis([primitive(normal)], len(normal))
 
 
 def restriction(A, normal):

@@ -134,6 +134,16 @@ def test_deletion_and_restriction_accept_a_list_normal():
         deletion(A, [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
+def test_non_integer_normals_are_refused(bad):
+    with pytest.raises(ValueError, match="normal entries must be integers"):
+        Arrangement(2, [(1, 0), (bad, 1)])
+    A = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
+    for op in (deletion, restriction):
+        with pytest.raises(ValueError, match="normal entries must be integers"):
+            op(A, (bad, 1))
+
+
 def assert_built_the_long_way(A):
     """A equals, and hashes like, the arrangement the canonicalizing
     constructor builds from its normals."""

@@ -1,12 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import fraction_linalg as ref
 from matrix_weyl import reflect
+from weylinv.arrangement import flats_of_rank
+from weylinv.inversion import inversion_arrangement
+from weylinv.linalg import Eliminator
 from weylinv.rootsys import (
-    RootSystem, cartan_datum, cartan_isomorphisms, classify_irreducible,
+    CartanDatum, RootSystem, cartan_datum, cartan_isomorphisms, classify_irreducible,
     root_height, subsystem,
 )
+from weylinv.weyl import WeylGroup, longest_element
 
 # number of positive roots per type, from the classical count formulas
 POSITIVE_COUNTS = {
@@ -125,3 +131,87 @@ def test_g2_norms():
     n1 = g2.inner_product(g2.simple_roots[0], g2.simple_roots[0])
     n2 = g2.inner_product(g2.simple_roots[1], g2.simple_roots[1])
     assert (n1, n2) == (Fraction(2, 3), Fraction(2))
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2", "D4", "F4"])
+def test_subsystem_coords_match_fraction_solve(name):
+    """Subsystem.coords, a lookup over the abstract copy's roots, against a
+    rational solve, on every subsystem spanned by a rank-2 or rank-3 flat of
+    w0's arrangement."""
+    system = RootSystem.get(name)
+    A = inversion_arrangement(longest_element(WeylGroup.get(name)))
+    checked = 0
+    for r in (2, 3):
+        for X in flats_of_rank(A, r):
+            elim = Eliminator()
+            sub = subsystem(system, [v for i, v in enumerate(A.normals)
+                                     if i in X.contains and elim.add(v)])
+            for beta in sub.positive_roots:
+                for signed in (beta, tuple(-x for x in beta)):
+                    assert sub.coords(signed) == ref.solve_coords(sub.simple_roots, signed)
+                    checked += 1
+            alpha = sub.positive_roots[0]
+            with pytest.raises(ValueError):
+                sub.coords(tuple(2 * x for x in alpha))
+            # a root outside U, unless the flat spans the whole space
+            outside = next((b for b in system.positive_roots if not elim.in_span(b)), None)
+            if outside is not None:
+                assert ref.solve_coords(sub.simple_roots, outside) is None
+                with pytest.raises(ValueError):
+                    sub.coords(outside)
+    assert checked
+
+
+def old_cartan_verdict(A, symmetrizer):
+    """The Cartan check before it went integer-only: symmetry of the Fraction
+    form, then its leading principal minors by cofactor expansion."""
+    n = len(A)
+    B = [[Fraction(symmetrizer[i]) * A[i][j] for j in range(n)] for i in range(n)]
+    if any(B[i][j] != B[j][i] for i in range(n) for j in range(n)):
+        return "symmetrizer does not symmetrize the Cartan matrix"
+    if any(ref.cofactor_det([row[:k] for row in B[:k]]) <= 0 for k in range(1, n + 1)):
+        return "symmetrized Cartan form is not positive definite"
+    return "ok"
+
+
+def cartan_verdict(A, symmetrizer):
+    try:
+        CartanDatum("t", len(A), tuple(map(tuple, A)), tuple(symmetrizer))
+    except ValueError as e:
+        return str(e)
+    return "ok"
+
+
+def small_cartan_pairs():
+    """Rank 1-3 generalized Cartan matrices with small off-diagonal entries,
+    each with symmetrizers that include a negative and a zero entry."""
+    scales = (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
+    yield [[2]], [Fraction(1)]
+    yield [[2]], [Fraction(-1)]
+    for a, b in itertools.product(range(0, -5, -1), repeat=2):
+        for sym in itertools.product(scales, repeat=2):
+            yield [[2, a], [b, 2]], sym
+    for off in itertools.product(range(0, -3, -1), repeat=6):
+        A = [[2, off[0], off[1]], [off[2], 2, off[3]], [off[4], off[5], 2]]
+        for sym in itertools.product((Fraction(-1), Fraction(1, 2), Fraction(1)), repeat=3):
+            yield A, sym
+
+
+def test_cartan_check_matches_fraction_minors():
+    seen = set()
+    for A, sym in small_cartan_pairs():
+        verdict = old_cartan_verdict(A, sym)
+        assert cartan_verdict(A, sym) == verdict, (A, sym)
+        seen.add(verdict)
+    assert len(seen) == 3
+    # affine and hyperbolic rank 2: symmetric, but not positive definite
+    for A in ([[2, -2], [-2, 2]], [[2, -3], [-3, 2]]):
+        assert cartan_verdict(A, (1, 1)) == old_cartan_verdict(A, (1, 1)) == \
+            "symmetrized Cartan form is not positive definite"
+
+
+def test_standard_types_pass_the_cartan_check():
+    names = [f"{t}{n}" for t, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lo, 9)]
+    for name in names + ["E6", "E7", "E8", "F4", "G2"]:
+        datum = cartan_datum(name)
+        assert cartan_verdict(datum.cartan_matrix, datum.symmetrizer) == "ok"

@@ -6,9 +6,10 @@ from typing import Optional
 import pytest
 
 import audit_oracle
+import fraction_linalg
 import lattice_oracle as lat
 import pattern_oracle as ref
-from weylinv.arrangement import is_supersolvable, poincare_polynomial, Arrangement
+from weylinv.arrangement import flats_of_rank, is_supersolvable, poincare_polynomial, Arrangement
 from weylinv import freeness, smoothness
 from weylinv.cache import clear_caches
 from weylinv.inversion import flatten, inversion_arrangement, inversion_set
@@ -323,6 +324,33 @@ def test_pattern_hits_match_all_roots_scan_sampled(name):
     rng = random.Random(29)
     for w in rng.sample(sorted_elements(g), 12) + [longest_element(g)]:
         assert pattern_hits(w) == ref.pattern_hits(w)
+
+
+def inversion_spans(w, r):
+    """The scan pattern_hits replaced: RREFs of the r-subsets of I(w) that span r dimensions."""
+    subsets = itertools.combinations(inversion_set(w).roots, r)
+    return {key for key in map(fraction_linalg.rref, subsets) if len(key) == r}
+
+
+def flat_spans(w, r):
+    """RREFs of the spans of the rank-r flats of I(w), one per flat."""
+    A = inversion_arrangement(w)
+    flats = flats_of_rank(A, r)
+    spans = {fraction_linalg.rref([A.normals[i] for i in sorted(X.contains)]) for X in flats}
+    assert len(spans) == len(flats)
+    return spans
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2", "A4", "D4", "F4"])
+def test_rank_r_flats_are_the_spans_of_r_inversions(name):
+    g = WeylGroup.get(name)
+    if name in ("D4", "F4"):
+        els = random.Random(31).sample(sorted_elements(g), 8) + [longest_element(g)]
+    else:
+        els = g.elements()
+    for w in els:
+        for r in (2, 3, 4):
+            assert flat_spans(w, r) == inversion_spans(w, r)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A4"])
