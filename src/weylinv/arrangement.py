@@ -247,6 +247,12 @@ def coatoms(A: Arrangement) -> List[Flat]:
 def is_modular_coatom(A: Arrangement, X: Flat) -> bool:
     if matroid_rank(A, X.contains) != A.rank() - 1:
         raise ValueError("flat is not a coatom")
+    return pairs_meet_flat(A, X)
+
+
+def pairs_meet_flat(A: Arrangement, X: Flat) -> bool:
+    """The pair test of a modular coatom X: whether every two normals of A
+    outside X span a plane that holds a normal of X."""
     return every_pair_meets([v for i, v in enumerate(A.normals) if i not in X.contains],
                             [A.normals[i] for i in sorted(X.contains)])
 
@@ -278,8 +284,7 @@ def _supersolvable_chain(A: Arrangement):
         return ()
     for X in coatoms(A):
         # X comes from coatoms(A), so only the pair test of is_modular_coatom is due
-        if every_pair_meets([v for i, v in enumerate(A.normals) if i not in X.contains],
-                            [A.normals[i] for i in sorted(X.contains)]):
+        if pairs_meet_flat(A, X):
             sub = _supersolvable_chain(localization(A, X))
             if sub is not None:
                 return (frozenset(A.normals[i] for i in X.contains),) + sub

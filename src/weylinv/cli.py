@@ -62,7 +62,7 @@ def _emit(obj: dict, as_json: bool):
 # -- analyze -----------------------------------------------------------------
 
 
-def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> dict:
+def element_report(system_id: str, word1: Sequence[int]) -> dict:
     g = _group(system_id)
     w = _element(g, word1)
     # |[e, w]| <= min(2^l(w), |W_J|) for J = supp(w); refuse before building it
@@ -72,7 +72,7 @@ def element_report(system_id: str, word1: Sequence[int], order: str = "lex") -> 
     P = poincare(w)
     exps = exponents_of(w)
     A = inversion_arrangement(w)
-    res = inductively_free(A, order=order)
+    res = inductively_free(A)
     ss, _ = is_supersolvable(A)
     tree = complete_chain_bp(w)
     return {
@@ -109,7 +109,7 @@ def _tree_obj(tree) -> List[dict]:
 
 
 def cmd_analyze(args) -> int:
-    report = element_report(args.system, args.word, order=args.order)
+    report = element_report(args.system, args.word)
     _emit(report, args.json)
     return EXIT_OK
 
@@ -304,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = word_cmd("analyze", cmd_analyze, help="full report on one element")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--order", choices=("lex", "height"), default="lex")
 
     p = sub.add_parser("audit", help="scan a whole group against the classifiers")
     p.add_argument("system")

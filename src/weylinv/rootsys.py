@@ -124,14 +124,6 @@ def cartan_datum(name: str) -> CartanDatum:
     return CartanDatum(name, n, tuple(tuple(row) for row in A), symmetrizer)
 
 
-def datum_from_cartan(matrix: Sequence[Sequence[int]], norms: Sequence[Fraction],
-                      label: str = "sub") -> CartanDatum:
-    """Datum for an explicitly given (valid) Cartan matrix, e.g. a subsystem."""
-    n = len(matrix)
-    return CartanDatum(label, n, tuple(tuple(int(x) for x in row) for row in matrix),
-                       tuple(Fraction(x) / 2 for x in norms))
-
-
 def root_height(beta: Root) -> int:
     return sum(beta)
 
@@ -266,33 +258,29 @@ def subsystem(system: RootSystem, U_basis: Sequence[Sequence[int]]) -> Subsystem
     simples.sort(key=lambda b: (root_height(b), b))
     if not simples:
         return Subsystem(system, (), (), None, ())
+    # b_j - b_i is not a root for simple b_i != b_j, so the b_i-string through
+    # b_j runs b_j, ..., b_j + q*b_i and <b_j, b_i^vee> = -q (Humphreys 9.4, 10.1)
     n = len(simples)
-    norms = [system.inner_product(d, d) for d in simples]
-    # normalize so long roots of each component have norm 2; scaling the form
-    # leaves the Cartan matrix unchanged, so just build the Cartan matrix
-    cart = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = 2 * system.inner_product(simples[i], simples[j]) / norms[i]
-            assert c.denominator == 1
-            cart[i][j] = int(c)
-    comps = _components(cart)
+    cart = [[2 if i == j else -_string_length(system.positive_set, simples[i], simples[j])
+             for j in range(n)] for i in range(n)]
     labels = []
-    for comp in comps:
-        sub = [[cart[i][j] for j in comp] for i in comp]
-        labels.append(classify_irreducible(sub))
-    datum = datum_from_cartan(cart, _normalized_norms(cart, norms))
+    symmetrizer: List[Fraction] = [Fraction(0)] * n
+    for comp in _components(cart):
+        label, p = _classify([[cart[i][j] for j in comp] for i in comp])
+        labels.append(label)
+        # std node k is component node p[k]; long roots of each component get norm 2
+        for k, d in enumerate(RootSystem.get(label).datum.symmetrizer):
+            symmetrizer[comp[p[k]]] = d
+    datum = CartanDatum("sub", n, tuple(map(tuple, cart)), tuple(symmetrizer))
     return Subsystem(system, pos, tuple(simples), datum, tuple(sorted(labels)))
 
 
-def _normalized_norms(cart, norms) -> List[Fraction]:
-    """Rescale norms so that each component's long roots have norm 2."""
-    out = [Fraction(x) for x in norms]
-    for comp in _components(cart):
-        top = max(out[i] for i in comp)
-        for i in comp:
-            out[i] = out[i] * 2 / top
-    return out
+def _string_length(positive_set, a: Root, b: Root) -> int:
+    """The largest q with b + q*a a positive root."""
+    q = 0
+    while tuple(y + (q + 1) * x for x, y in zip(a, b)) in positive_set:
+        q += 1
+    return q
 
 
 def _components(cart) -> List[List[int]]:
@@ -335,11 +323,16 @@ def _candidate_labels(r: int) -> List[str]:
 
 def classify_irreducible(cart: Sequence[Sequence[int]]) -> str:
     """Match a connected Cartan matrix against the finite types, canonically."""
-    r = len(cart)
-    for label in _candidate_labels(r):
-        std = cartan_datum(label).cartan_matrix
-        if next(cartan_isomorphisms(std, cart), None) is not None:
-            return label
+    return _classify(cart)[0]
+
+
+def _classify(cart: Sequence[Sequence[int]]) -> Tuple[str, Tuple[int, ...]]:
+    """(label, p): the finite type of a connected Cartan matrix and the first
+    Cartan isomorphism p from that type's standard matrix onto it."""
+    for label in _candidate_labels(len(cart)):
+        p = next(cartan_isomorphisms(RootSystem.get(label).cartan, cart), None)
+        if p is not None:
+            return label, p
     raise ValueError("Cartan matrix is not of finite type")
 
 

@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from .arrangement import (
     every_pair_meets, flat_of, flats_of_rank, is_supersolvable, matroid_rank,
-    poincare_polynomial,
+    pairs_meet_flat, poincare_polynomial,
 )
 from .cache import cached
 from .inversion import flatten, inversion_arrangement, inversion_set
@@ -457,9 +457,7 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
                 inv_u = inversion_set(u if side == "left" else u.inverse()).as_set()
                 B = arrangements[side]
                 X = flat_of(B, [i for i, nrm in enumerate(B.normals) if nrm in inv_u])
-                modular = matroid_rank(B, X.contains) == ranks[side] - 1 and every_pair_meets(
-                    [nrm for i, nrm in enumerate(B.normals) if i not in X.contains],
-                    [B.normals[i] for i in sorted(X.contains)])
+                modular = matroid_rank(B, X.contains) == ranks[side] - 1 and pairs_meet_flat(B, X)
                 if chain_bp != modular:
                     counterexamples.append(("modular_coatom", word1, (side, tuple(sorted(J)))))
         if "supersolvable" in checks:

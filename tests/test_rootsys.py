@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import fraction_linalg as ref
+import subsystem_oracle
 from matrix_weyl import reflect
+from weylinv.cache import clear_caches
 from weylinv.arrangement import flats_of_rank
 from weylinv.inversion import inversion_arrangement
 from weylinv.linalg import Eliminator
@@ -12,6 +14,7 @@ from weylinv.rootsys import (
     CartanDatum, RootSystem, cartan_datum, cartan_isomorphisms, classify_irreducible,
     root_height, subsystem,
 )
+from weylinv.smoothness import pattern_hits
 from weylinv.weyl import WeylGroup, longest_element
 
 # number of positive roots per type, from the classical count formulas
@@ -160,6 +163,51 @@ def test_subsystem_coords_match_fraction_solve(name):
                 with pytest.raises(ValueError):
                     sub.coords(outside)
     assert checked
+
+
+SUBSYSTEM_TYPES = ["B3", "C3", "G2", "A4", "D4", "B4", "F4", "D5"]
+
+
+def flat_bases(name):
+    """A basis of normals of every flat of every rank of w0's arrangement,
+    whose hyperplanes are all of Phi+."""
+    A = inversion_arrangement(longest_element(WeylGroup.get(name)))
+    for r in range(1, A.rank() + 1):
+        for X in flats_of_rank(A, r):
+            elim = Eliminator()
+            yield [v for i, v in enumerate(A.normals) if i in X.contains and elim.add(v)]
+
+
+@pytest.mark.parametrize("name", SUBSYSTEM_TYPES)
+def test_subsystem_matches_inner_product_construction(name):
+    """Cartan matrices by root strings and symmetrizers copied from the
+    matched standard type, against Fraction inner products renormalized per
+    component."""
+    system = RootSystem.get(name)
+    checked = 0
+    for basis in flat_bases(name):
+        sub = subsystem(system, basis)
+        pos, simples, types, datum = subsystem_oracle.subsystem(system, basis)
+        assert (sub.positive_roots, sub.simple_roots, sub.type_components) == (pos, simples, types)
+        assert sub.datum.cartan_matrix == datum.cartan_matrix
+        assert sub.datum.symmetrizer == datum.symmetrizer
+        assert sub.datum.type_label == datum.type_label
+        checked += 1
+    assert checked
+
+
+def test_subsystems_and_pattern_scan_never_use_the_form(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("the Euclidean form was evaluated")
+
+    monkeypatch.setattr(RootSystem, "inner_product", refuse)
+    clear_caches()   # pattern_hits and the flattenings behind it are memoized
+    for name in SUBSYSTEM_TYPES:
+        for basis in flat_bases(name):
+            subsystem(RootSystem.get(name), basis)
+    for name in ("B3", "D4"):
+        for w in WeylGroup.get(name).elements():
+            pattern_hits(w)
 
 
 def old_cartan_verdict(A, symmetrizer):
