@@ -141,10 +141,6 @@ def quotient_by_center(A: Arrangement) -> Arrangement:
     return Arrangement(len(pivots), [tuple(v[p] for p in pivots) for v in A.normals])
 
 
-def matroid_rank(A: Arrangement, subset: Iterable[int]) -> int:
-    return matrix_rank([A.normals[i] for i in subset])
-
-
 def nbc_sets(A: Arrangement, order: Optional[Sequence[Normal]] = None) -> List[Tuple[Normal, ...]]:
     """All NBC subsets under the given total order (default: canonical order).
 
@@ -245,7 +241,7 @@ def coatoms(A: Arrangement) -> List[Flat]:
 
 
 def is_modular_coatom(A: Arrangement, X: Flat) -> bool:
-    if matroid_rank(A, X.contains) != A.rank() - 1:
+    if matrix_rank([A.normals[i] for i in X.contains]) != A.rank() - 1:
         raise ValueError("flat is not a coatom")
     return pairs_meet_flat(A, X)
 

@@ -21,12 +21,14 @@ def cached(fn):
 
 
 def clear_caches():
-    """Empty every memo, the shared search memo and the Weyl group registry
-    (a group's interned elements go with it)."""
+    """Empty every memo, the shared search memo and the Weyl group and root
+    system registries (a group's interned elements go with it)."""
     from .freeness import _memo
+    from .rootsys import RootSystem
     from .weyl import WeylGroup
 
     for memo in _memos:
         memo.cache_clear()
     _memo.clear()
     WeylGroup._cache.clear()
+    RootSystem._cache.clear()

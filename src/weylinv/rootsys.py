@@ -135,7 +135,7 @@ def is_positive_root_vector(beta: Sequence[int]) -> bool:
 class RootSystem:
     """A root system built from a Cartan datum, with exact reflection arithmetic."""
 
-    _cache: Dict[object, "RootSystem"] = {}
+    _cache: Dict[object, "RootSystem"] = {}   # emptied by clear_caches
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum

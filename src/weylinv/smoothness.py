@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import (
-    every_pair_meets, flat_of, flats_of_rank, is_supersolvable, matroid_rank,
-    pairs_meet_flat, poincare_polynomial,
+    Flat, every_pair_meets, flats_of_rank, is_supersolvable, pairs_meet_flat,
+    poincare_polynomial,
 )
 from .cache import cached
 from .inversion import flatten, inversion_arrangement, inversion_set
@@ -402,8 +402,9 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
       counterexample's status.
     - ``modular_coatom``: for every (side, J) with v ≠ e (a sample of
       `sample_j` pairs when given), w = u·v (v·u on the right) is a chain BP
-      decomposition iff the flat of the inversions of u (u^-1) is a modular
-      coatom of I(w) (I(w^-1)); both are evaluated for every such pair.
+      decomposition iff the flat of the inversions of u (u^-1), read off root
+      supports as I(w) ∩ Φ_J (I(w^-1) ∩ Φ_J), is a modular coatom of I(w)
+      (I(w^-1)); both are evaluated for every such pair.
     - ``supersolvable``: w has a complete chain BP tree iff w is smooth and
       I(w) is supersolvable.  With neither a tree nor smoothness both sides
       are false, so `is_supersolvable` runs only where w is smooth or has a
@@ -446,19 +447,19 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
             pairs = [(side, J) for side in ("left", "right") for J in _candidate_subsets(w)]
             if sample_j is not None and len(pairs) > sample_j:
                 pairs = rng.sample(pairs, sample_j)
-            # X is the flat of J(u) inside J(w), read on w^-1 for the right side
+            # u ∈ W_J, so the flat of I(u) in I(w) is I(w) ∩ Φ_J, of rank |supp(u)|
             arrangements = {"left": A, "right": inversion_arrangement(w.inverse())}
-            ranks = {side: B.rank() for side, B in arrangements.items()}
+            supports = {side: [frozenset(k for k, c in enumerate(b) if c) for b in B.normals]
+                        for side, B in arrangements.items()}
+            support = w.support()
             for side, J in pairs:
-                ok, u, v = is_bp(w, J, side)
-                if v.is_identity():
-                    continue
-                chain_bp = ok and coset_chain_poincare(v, J, side)[0]
-                inv_u = inversion_set(u if side == "left" else u.inverse()).as_set()
-                B = arrangements[side]
-                X = flat_of(B, [i for i, nrm in enumerate(B.normals) if nrm in inv_u])
-                modular = matroid_rank(B, X.contains) == ranks[side] - 1 and pairs_meet_flat(B, X)
-                if chain_bp != modular:
+                if J == support:
+                    continue   # J ⊆ supp(w), so w ∈ W_J and v = e only here
+                dec = bp_decomposition(w, J, side)
+                X = Flat(frozenset(i for i, s in enumerate(supports[side]) if s <= J))
+                rank_x = len(frozenset().union(*(supports[side][i] for i in X.contains)))
+                modular = rank_x == len(support) - 1 and pairs_meet_flat(arrangements[side], X)
+                if (dec is not None and dec.is_chain) != modular:
                     counterexamples.append(("modular_coatom", word1, (side, tuple(sorted(J)))))
         if "supersolvable" in checks:
             counts["supersolvable"] += 1

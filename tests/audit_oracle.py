@@ -11,8 +11,9 @@ also with faults injected into the names both of them look up.
 import random
 from typing import List, Optional, Sequence
 
-from weylinv.arrangement import every_pair_meets, flat_of, is_supersolvable, matroid_rank
+from weylinv.arrangement import every_pair_meets, flat_of, is_supersolvable
 from weylinv.inversion import inversion_arrangement, inversion_set
+from weylinv.linalg import rank as matrix_rank
 from weylinv.smoothness import (
     ALL_CHECKS, AUDIT_GUARD, _candidate_subsets, _coexp_product, complete_chain_bp,
     coset_chain_poincare, exponents_of, hlss, is_bp, parabolic_exponents,
@@ -63,7 +64,8 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
                 inv_u = inversion_set(u if side == "left" else u.inverse()).as_set()
                 B = arrangements[side]
                 X = flat_of(B, [i for i, nrm in enumerate(B.normals) if nrm in inv_u])
-                modular = matroid_rank(B, X.contains) == ranks[side] - 1 and every_pair_meets(
+                x_rank = matrix_rank([B.normals[i] for i in X.contains])
+                modular = x_rank == ranks[side] - 1 and every_pair_meets(
                     [nrm for i, nrm in enumerate(B.normals) if i not in X.contains],
                     [B.normals[i] for i in sorted(X.contains)])
                 if chain_bp != modular:

@@ -10,7 +10,7 @@ import fraction_linalg
 import lattice_oracle as lat
 import pattern_oracle as ref
 from weylinv.arrangement import flats_of_rank, is_supersolvable, poincare_polynomial, Arrangement
-from weylinv import freeness, smoothness
+from weylinv import arrangement, freeness, smoothness
 from weylinv.cache import clear_caches
 from weylinv.inversion import flatten, inversion_arrangement, inversion_set
 from weylinv.linalg import rank as matrix_rank
@@ -588,9 +588,23 @@ def one_non_smooth_element_smooth(g):
     return "rationally_smooth", lambda w: True if w == target else real(w)
 
 
+def every_coset_a_chain(g):
+    real = smoothness.coset_chain_poincare
+    return "coset_chain_poincare", lambda v, J, side: (True, real(v, J, side)[1])
+
+
+def no_coset_a_chain(g):
+    return "coset_chain_poincare", lambda v, J, side: (False, None)
+
+
+def every_pair_meets_always(g):
+    return "every_pair_meets", lambda outside, inside: True
+
+
 @pytest.mark.parametrize("fault", [
     tree_for_one_non_smooth_element, no_tree_for_one_smooth_element,
     never_supersolvable, never_free, one_non_smooth_element_smooth,
+    every_coset_a_chain, no_coset_a_chain, every_pair_meets_always,
 ])
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_audit_reports_injected_faults_like_eager_oracle(name, fault, monkeypatch,
@@ -598,9 +612,51 @@ def test_audit_reports_injected_faults_like_eager_oracle(name, fault, monkeypatc
     g = WeylGroup.get(name)
     attr, fake = fault(g)
     # every module that holds the name, as each audit looks it up there
-    for module in (smoothness, freeness, audit_oracle):
+    # (`pairs_meet_flat` looks up every_pair_meets in arrangement)
+    for module in (smoothness, freeness, arrangement, audit_oracle):
         if hasattr(module, attr):
             monkeypatch.setattr(module, attr, fake)
     report = theorem_audit(g)
     assert report["counterexamples"]
     assert report == audit_oracle.theorem_audit(g)
+
+
+def modular_coatom_triples(g):
+    """(w, side, J, u) for every pair the modular_coatom check visits."""
+    for w in sorted_elements(g):
+        for side in ("left", "right"):
+            for J in smoothness._candidate_subsets(w):
+                _, u, v = is_bp(w, J, side)
+                if not v.is_identity():
+                    yield w, side, J, u
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "D4"])
+def test_modular_coatom_flat_is_read_off_root_supports(name):
+    # the audit's flat of I(u) is I(w) ∩ Φ_J, of rank |supp(u)|; the eager
+    # oracle closes I(u) by elimination and ranks the closure
+    g = WeylGroup.get(name)
+    for w, side, J, u in modular_coatom_triples(g):
+        x = w if side == "left" else w.inverse()
+        B = inversion_arrangement(x)
+        inv_u = inversion_set(u if side == "left" else u.inverse()).as_set()
+        closed = arrangement.flat_of(B, [i for i, b in enumerate(B.normals) if b in inv_u])
+        by_support = frozenset(i for i, b in enumerate(B.normals)
+                               if all(k in J for k, c in enumerate(b) if c))
+        assert closed.contains == by_support, (w.word(), side, J)
+        supp = {k for i in by_support for k, c in enumerate(B.normals[i]) if c}
+        assert len(supp) == matrix_rank([B.normals[i] for i in closed.contains])
+        assert len(supp) == len(u.support())
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_modular_coatom_check_does_no_elimination(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the modular_coatom check eliminated")
+
+    monkeypatch.setattr(arrangement, "_closure", refuse)
+    monkeypatch.setattr(arrangement, "matrix_rank", refuse)
+    g = WeylGroup.get(name)
+    report = theorem_audit(g, ["modular_coatom"])
+    assert report["checks"] == {"modular_coatom": g.order()}
+    assert report["counterexamples"] == []
