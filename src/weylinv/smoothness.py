@@ -110,10 +110,13 @@ def _candidate_subsets(w: WeylElement) -> Iterator[FrozenSet[int]]:
 
 def chain_bp_candidates(w: WeylElement) -> Iterator[BPDecomposition]:
     """All chain BP decompositions of w, in the fixed deterministic order."""
+    support = w.support()
     for side in ("left", "right"):
         for J in _candidate_subsets(w):
+            if J == support:
+                continue   # J ⊆ supp(w), so w ∈ W_J and v = e only here
             dec = bp_decomposition(w, J, side)
-            if dec is not None and dec.v.length() >= 1 and dec.is_chain:
+            if dec is not None and dec.is_chain:
                 yield dec
 
 

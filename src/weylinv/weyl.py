@@ -5,13 +5,16 @@ An element w is stored as the permutation it induces on the roots:
 n_pos positive roots (by height) and then their negatives, so a root is
 positive iff its index is below n_pos.  Multiplication is composition of
 index tuples, and the length and the descents are read off the signs of the
-images.  Elements are interned
-per group, so equal elements are the same object.  Words are certificates;
-the canonical reduced word strips the smallest left descent first.
+images.  Elements are interned per group, so equal elements are the same
+object, and each stores its right descent set once computed, as an entry of
+its group's table of the 2^rank subsets of generators.  Words are
+certificates; the canonical reduced word strips the smallest left descent
+first.
 
-[e, w] is built by the subword property and u <= w is decided by the lifting
-property (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.2.2 and
-Prop 2.2.7).
+[e, w] is built from the memoized interval of its prefix w s, s the last
+letter of w's canonical word, by the subword property; u <= w is decided by
+the lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+Thm 2.2.2 and Prop 2.2.7).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .rootsys import Root, RootSystem
 
 
 class WeylElement:
-    __slots__ = ("group", "perm", "_hash", "_inverse", "_length", "_word")
+    __slots__ = ("group", "perm", "_hash", "_inverse", "_length", "_word", "_descents")
 
     def __init__(self, group: "WeylGroup", perm: Tuple[int, ...]):
         self.group = group
@@ -34,6 +37,7 @@ class WeylElement:
         self._inverse: Optional[WeylElement] = None
         self._length: Optional[int] = None
         self._word: Optional[Tuple[int, ...]] = None
+        self._descents: Optional[FrozenSet[int]] = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, WeylElement) and self.group is other.group
@@ -74,8 +78,11 @@ class WeylElement:
 
     def right_descents(self) -> FrozenSet[int]:
         """s_i with w(alpha_i) negative."""
-        n_pos = self.group.n_pos
-        return frozenset(i for i, k in enumerate(self.group.simple) if self.perm[k] >= n_pos)
+        if self._descents is None:
+            g, perm = self.group, self.perm
+            self._descents = g.descent_sets[
+                sum(1 << i for i, k in enumerate(g.simple) if perm[k] >= g.n_pos)]
+        return self._descents
 
     def left_descents(self) -> FrozenSet[int]:
         return self.inverse().right_descents()
@@ -107,6 +114,9 @@ class WeylGroup:
         self.roots: Tuple[Root, ...] = pos + tuple(tuple(-x for x in b) for b in pos)
         self.root_index: Dict[Root, int] = {b: i for i, b in enumerate(self.roots)}
         self.simple = tuple(self.root_index[a] for a in system.simple_roots)
+        # descent sets by bitmask, shared by every element with that set
+        self.descent_sets = tuple(frozenset(i for i in range(self.rank) if m >> i & 1)
+                                  for m in range(1 << self.rank))
         self._elements: Dict[Tuple[int, ...], WeylElement] = {}
         self.identity = self._intern(tuple(range(len(self.roots))))
         self.generators = tuple(
@@ -175,14 +185,20 @@ class WeylGroup:
 
     @cached
     def bruhat_interval(self, w: WeylElement) -> FrozenSet[WeylElement]:
-        """[e, w] by the subword property: X <- X u Xs along a reduced word."""
-        n_pos = self.n_pos
-        X: Set[WeylElement] = {self.identity}
-        for s in w.word():
-            gen, k = self.generators[s], self.simple[s]
-            # x s < x lies in X already, since X is a lower interval
-            X.update([self.mul(x, gen) for x in X if x.perm[k] < n_pos])
-        return frozenset(X)
+        """[e, w] by the subword property: with s the last letter of w's
+        canonical word, [e, w] = X u {x s : x s > x} for X = [e, w s].
+
+        X comes from this memo, so every prefix of the word stays memoized
+        with [e, w]; the recursion is l(w) levels deep."""
+        if w.is_identity():
+            return frozenset((w,))
+        s = w.word()[-1]
+        gen, k = self.generators[s], self.simple[s]
+        X = self.bruhat_interval(self.mul(w, gen))
+        # x s < x lies in X already, since X is a lower interval; given only
+        # the new elements, as a set, the union sizes its table once to fit
+        up = (self.mul(x, gen) for x in X if x.perm[k] < self.n_pos)
+        return X | frozenset([y for y in up if y not in X])
 
     @cached
     def elements(self) -> FrozenSet[WeylElement]:
@@ -204,14 +220,6 @@ class WeylGroup:
 # -- free functions matching the operation contract ------------------------
 
 
-def descents(w: WeylElement, side: str) -> FrozenSet[int]:
-    if side == "left":
-        return w.left_descents()
-    if side == "right":
-        return w.right_descents()
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     if u.group is not w.group:
         raise ValueError("elements from different groups")
@@ -230,9 +238,10 @@ def poincare(w: WeylElement) -> IntPolynomial:
 
 
 def is_minimal_coset_rep(v: WeylElement, J: Iterable[int], side: str) -> bool:
-    J = frozenset(J)
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     dec = v.left_descents() if side == "left" else v.right_descents()
-    return not (dec & J)
+    return not (dec & frozenset(J))
 
 
 def coset_poincare(v: WeylElement, J: Iterable[int], side: str = "left") -> IntPolynomial:

@@ -6,20 +6,44 @@ the product of the coexponents for ``free_interval``, `is_supersolvable`
 for ``supersolvable``, whether or not they can change the verdict.
 Differential tests compare `weylinv.smoothness.theorem_audit` against it,
 also with faults injected into the names both of them look up.
+
+It also keeps two pieces of the group work the audit replaced:
+`bruhat_interval`, the subword loop along the whole canonical word, with no
+memo, and `chain_bp_candidates`, which also decomposes w along J = supp(w)
+and drops v = e afterwards.
 """
 
 import random
-from typing import List, Optional, Sequence
+from typing import FrozenSet, Iterator, List, Optional, Sequence
 
 from weylinv.arrangement import every_pair_meets, flat_of, is_supersolvable
 from weylinv.inversion import inversion_arrangement, inversion_set
 from weylinv.linalg import rank as matrix_rank
 from weylinv.smoothness import (
-    ALL_CHECKS, AUDIT_GUARD, _candidate_subsets, _coexp_product, complete_chain_bp,
-    coset_chain_poincare, exponents_of, hlss, is_bp, parabolic_exponents,
-    rationally_smooth,
+    ALL_CHECKS, AUDIT_GUARD, BPDecomposition, _candidate_subsets, _coexp_product,
+    bp_decomposition, complete_chain_bp, coset_chain_poincare, exponents_of, hlss, is_bp,
+    parabolic_exponents, rationally_smooth,
 )
-from weylinv.weyl import WeylGroup
+from weylinv.weyl import WeylElement, WeylGroup
+
+
+def bruhat_interval(w: WeylElement) -> FrozenSet[WeylElement]:
+    """[e, w] by the subword property: X <- X u Xs along a reduced word."""
+    g = w.group
+    X = {g.identity}
+    for s in w.word():
+        gen, k = g.generators[s], g.simple[s]
+        X.update([g.mul(x, gen) for x in X if x.perm[k] < g.n_pos])
+    return frozenset(X)
+
+
+def chain_bp_candidates(w: WeylElement) -> Iterator[BPDecomposition]:
+    """Every chain BP decomposition of w with v != e, trying every J."""
+    for side in ("left", "right"):
+        for J in _candidate_subsets(w):
+            dec = bp_decomposition(w, J, side)
+            if dec is not None and dec.v.length() >= 1 and dec.is_chain:
+                yield dec
 
 
 def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,

@@ -133,7 +133,7 @@ def test_criterion_05_theorem_audit():
     with criterion(5, 900.0):
         for name, order in (("A3", 24), ("B3", 48), ("A4", 120), ("D4", 192),
                             ("B4", 384), ("C4", 384), ("A5", 720), ("F4", 1152),
-                            ("D5", 1920)):
+                            ("D5", 1920), ("B5", 3840)):
             report = theorem_audit(WeylGroup.get(name))
             assert report["order"] == order
             assert report["counterexamples"] == []

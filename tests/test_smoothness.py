@@ -109,6 +109,24 @@ def test_pair_span_prefilter_matches_oracle(name):
                 assert _pair_span_chain(probe, J) == lat.pair_span_chain(probe, J)
 
 
+@pytest.mark.parametrize("name", ["B3", "C3", "D4"])
+def test_chain_bp_candidates_match_the_oracle_that_tries_the_full_support(name, monkeypatch):
+    g = WeylGroup.get(name)
+    tried = []
+
+    def spy(w, J, side="left"):
+        tried.append((w, frozenset(J)))
+        return bp_decomposition(w, J, side)
+
+    for w in sorted_elements(g):
+        expected = list(audit_oracle.chain_bp_candidates(w))
+        with monkeypatch.context() as m:
+            m.setattr(smoothness, "bp_decomposition", spy)
+            assert list(smoothness.chain_bp_candidates(w)) == expected
+    # w lies in W_J for J = supp(w), so v = e there; that J is never decomposed
+    assert tried and all(J != w.support() for w, J in tried)
+
+
 def test_complete_chain_bp_of_longest_a3():
     g = WeylGroup.get("A3")
     tree = complete_chain_bp(longest_element(g))

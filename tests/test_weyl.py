@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+import audit_oracle
 import matrix_weyl as ref
 from test_smoothness import absolute_length, bruhat_graph_distance
-from weylinv.polynomials import q_int, product
+from weylinv.cache import clear_caches
+from weylinv.polynomials import IntPolynomial, q_int, product
 from weylinv.weyl import (
-    WeylGroup, bruhat_interval, bruhat_leq, coset_poincare, descents,
+    WeylGroup, bruhat_interval, bruhat_leq, coset_poincare, is_minimal_coset_rep,
     longest_element, parabolic_decomposition, poincare,
 )
 
@@ -82,9 +84,9 @@ def test_descents_and_inverse():
     for w in g.elements():
         wi = w.inverse()
         assert w * wi is g.identity
-        assert descents(w, "left") == descents(wi, "right")
+        assert w.left_descents() == wi.right_descents()
         assert {s for s in range(g.rank) if (w * g.generators[s]).length() < w.length()} \
-            == descents(w, "right")
+            == w.right_descents()
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
@@ -112,7 +114,7 @@ def test_longest_element_properties():
         w0 = longest_element(g)
         assert w0.length() == n_pos
         assert w0 * w0 is g.identity
-        assert descents(w0, "right") == frozenset(range(g.rank))
+        assert w0.right_descents() == frozenset(range(g.rank))
     g = WeylGroup.get("A3")
     assert longest_element(g, [0, 1]).word() == (0, 1, 0)
 
@@ -132,6 +134,34 @@ def test_coset_poincare_factorization():
     u, v = parabolic_decomposition(w0, J, "left")
     assert poincare(w0) == poincare(u) * coset_poincare(v, J, "left")
     assert coset_poincare(v, J, "left") == q_int(4)
+
+
+def test_coset_helpers_refuse_an_unknown_side():
+    g = WeylGroup.get("B3")
+    v = g.from_word([0, 1, 2])
+    assert coset_poincare(v, [1], "right") == IntPolynomial((1, 2, 2, 1))
+    assert is_minimal_coset_rep(v, [1], "right") and is_minimal_coset_rep(v, [1], "left")
+    for side in ("bogus", "Left", "RIGHT", None):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            coset_poincare(v, [1], side)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            is_minimal_coset_rep(v, [1], side)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4"])
+def test_stored_descents_match_root_signs(name):
+    # right descents: w(alpha_i) < 0; left: w^-1(alpha_i) < 0, with the
+    # inverse taken in the matrix model
+    g = WeylGroup.get(name)
+    simple = g.system.simple_roots
+    for w in g.elements():
+        inv = ref.inverse(ref.cols_of(w))
+        right = frozenset(i for i, a in enumerate(simple) if sum(w.apply(a)) < 0)
+        left = frozenset(i for i, a in enumerate(simple) if sum(ref.apply(inv, a)) < 0)
+        assert w.right_descents() == right
+        assert w.left_descents() == left
+        # stored once, as the group's shared set for that bitmask
+        assert w.right_descents() is w.right_descents() is g.descent_sets[sum(1 << i for i in right)]
 
 
 def test_absolute_length_oracle():
@@ -199,7 +229,7 @@ def _check_interval_against_closure(g, w):
     assert got == ref.interval(g.system, ref.cols_of(w))
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
 def test_bruhat_interval_matches_reflection_closure(name):
     g = WeylGroup.get(name)
     for w in g.elements():
@@ -213,3 +243,24 @@ def test_bruhat_interval_matches_reflection_closure_sampled(name, count):
     rng = random.Random(7)
     for w in rng.sample(els, count) + [longest_element(g)]:
         _check_interval_against_closure(g, w)
+
+
+@pytest.mark.parametrize("name,count", [("A3", None), ("B3", None), ("G2", None),
+                                        ("D4", None), ("F4", 40)])
+def test_prefix_built_interval_matches_subword_loop_cold_and_warm(name, count):
+    g = WeylGroup.get(name)
+    els = sorted(g.elements(), key=lambda x: (x.length(), x.word()))
+    if count is not None:
+        els = random.Random(13).sample(els, count) + [longest_element(g)]
+    expected = {w: audit_oracle.bruhat_interval(w) for w in els}
+    try:
+        for w in els:
+            clear_caches()   # g keeps its elements; its memo is empty
+            assert g.bruhat_interval(w) == expected[w]
+        clear_caches()
+        # warm: longest first, so every other interval is read off a memo that
+        # holds a chain of prefixes built for some other element
+        for w in sorted(els, key=lambda x: -x.length()):
+            assert g.bruhat_interval(w) == expected[w]
+    finally:
+        clear_caches()
