@@ -7,7 +7,7 @@ positive iff its index is below n_pos.  Multiplication is composition of
 index tuples, and the length and the descents are read off the signs of the
 images.  Elements are interned per group, so equal elements are the same
 object, and each stores its right descent set once computed, as an entry of
-its group's table of the 2^rank subsets of generators.  Words are
+its group's table of the descent sets met so far, keyed by bitmask.  Words are
 certificates; the canonical reduced word strips the smallest left descent
 first.
 
@@ -80,8 +80,11 @@ class WeylElement:
         """s_i with w(alpha_i) negative."""
         if self._descents is None:
             g, perm = self.group, self.perm
-            self._descents = g.descent_sets[
-                sum(1 << i for i, k in enumerate(g.simple) if perm[k] >= g.n_pos)]
+            m = sum(1 << i for i, k in enumerate(g.simple) if perm[k] >= g.n_pos)
+            d = g.descent_sets.get(m)
+            if d is None:
+                d = g.descent_sets[m] = frozenset(i for i in range(g.rank) if m >> i & 1)
+            self._descents = d
         return self._descents
 
     def left_descents(self) -> FrozenSet[int]:
@@ -114,9 +117,8 @@ class WeylGroup:
         self.roots: Tuple[Root, ...] = pos + tuple(tuple(-x for x in b) for b in pos)
         self.root_index: Dict[Root, int] = {b: i for i, b in enumerate(self.roots)}
         self.simple = tuple(self.root_index[a] for a in system.simple_roots)
-        # descent sets by bitmask, shared by every element with that set
-        self.descent_sets = tuple(frozenset(i for i in range(self.rank) if m >> i & 1)
-                                  for m in range(1 << self.rank))
+        # descent sets met so far, by bitmask, shared by every element with that set
+        self.descent_sets: Dict[int, FrozenSet[int]] = {}
         self._elements: Dict[Tuple[int, ...], WeylElement] = {}
         self.identity = self._intern(tuple(range(len(self.roots))))
         self.generators = tuple(

@@ -154,14 +154,26 @@ def test_stored_descents_match_root_signs(name):
     # inverse taken in the matrix model
     g = WeylGroup.get(name)
     simple = g.system.simple_roots
+    shared = {}
     for w in g.elements():
         inv = ref.inverse(ref.cols_of(w))
         right = frozenset(i for i, a in enumerate(simple) if sum(w.apply(a)) < 0)
         left = frozenset(i for i, a in enumerate(simple) if sum(ref.apply(inv, a)) < 0)
         assert w.right_descents() == right
         assert w.left_descents() == left
-        # stored once, as the group's shared set for that bitmask
-        assert w.right_descents() is w.right_descents() is g.descent_sets[sum(1 << i for i in right)]
+        # stored once; elements with equal descent sets share one object
+        assert w.right_descents() is w.right_descents() is shared.setdefault(right, w.right_descents())
+        assert w.left_descents() is shared.setdefault(left, w.left_descents())
+    assert len(shared) == 1 << g.rank
+
+
+def test_descent_table_holds_only_the_sets_met():
+    # the rank of B_n is not capped; the group must not build 2^rank sets
+    g = WeylGroup.get("B24")
+    w = g.from_word([0, 5, 3])
+    assert w.right_descents() == w.left_descents() == frozenset({0, 3, 5})
+    assert g.generators[7].right_descents() == frozenset({7})
+    assert len(g.descent_sets) == 2
 
 
 def test_absolute_length_oracle():
