@@ -237,8 +237,9 @@ def cmd_verify(args) -> int:
     try:
         with open(args.cert, "r", encoding="utf-8") as f:
             obj = json.load(f)
-        header = obj["header"]
-        cert = obj["certificate"]
+        header, cert = obj["header"], obj["certificate"]
+        if not isinstance(header, dict):
+            raise TypeError("the header is not a JSON object")
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         print(f"malformed certificate file: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -101,23 +101,24 @@ def bp_decomposition(w: WeylElement, J: Iterable[int], side: str = "left") -> Op
     return BPDecomposition(side, J, u, v, chain, p)
 
 
-def _candidate_subsets(w: WeylElement) -> Iterator[FrozenSet[int]]:
-    S = sorted(w.support())
-    for k in range(len(S), -1, -1):
-        for comb in itertools.combinations(S, k):
-            yield frozenset(comb)
+def _maximal_pairs(w: WeylElement) -> List[Tuple[str, FrozenSet[int]]]:
+    """(side, supp(w) − {s}) for each side and s ∈ supp(w), s descending.
+
+    No other J carries a chain BP decomposition w = u·v with v ≠ e (the lemma):
+    a chain ^J[e, v] ([e, v]^J on the right) has q^1 coefficient 1, which counts
+    supp(v) − J (s ≤ v is a minimal coset representative iff s ∉ J), and by
+    length-additivity supp(w) − J = supp(v) − J, so |J| = |supp(w)| − 1."""
+    support = w.support()
+    return [(side, support - {s}) for side in ("left", "right")
+            for s in sorted(support, reverse=True)]
 
 
 def chain_bp_candidates(w: WeylElement) -> Iterator[BPDecomposition]:
     """All chain BP decompositions of w, in the fixed deterministic order."""
-    support = w.support()
-    for side in ("left", "right"):
-        for J in _candidate_subsets(w):
-            if J == support:
-                continue   # J ⊆ supp(w), so w ∈ W_J and v = e only here
-            dec = bp_decomposition(w, J, side)
-            if dec is not None and dec.is_chain:
-                yield dec
+    for side, J in _maximal_pairs(w):
+        dec = bp_decomposition(w, J, side)
+        if dec is not None and dec.is_chain:
+            yield dec
 
 
 def find_chain_bp(w: WeylElement) -> Optional[BPDecomposition]:
@@ -403,11 +404,12 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
       arrangement's coexponents are the roots of π, so ∏(1 + d_i) = π(1);
       `inductively_free` runs only where π(I(w))(1) = |[e, w]|, and for a
       counterexample's status.
-    - ``modular_coatom``: for every (side, J) with v ≠ e (a sample of
+    - ``modular_coatom``: for every (side, J = supp(w) − {s}) (a sample of
       `sample_j` pairs when given), w = u·v (v·u on the right) is a chain BP
       decomposition iff the flat of the inversions of u (u^-1), read off root
       supports as I(w) ∩ Φ_J (I(w^-1) ∩ Φ_J), is a modular coatom of I(w)
-      (I(w^-1)); both are evaluated for every such pair.
+      (I(w^-1)).  For smaller J both sides are false (the flat's rank is
+      |supp(u)| ≤ |J|; no chain, by the lemma at `_maximal_pairs`).
     - ``supersolvable``: w has a complete chain BP tree iff w is smooth and
       I(w) is supersolvable.  With neither a tree nor smoothness both sides
       are false, so `is_supersolvable` runs only where w is smooth or has a
@@ -435,9 +437,7 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
         A = inversion_arrangement(w)
         if "free_interval" in checks:
             counts["free_interval"] += 1
-            res = None
-            if poincare_polynomial(A)(1) == len(group.bruhat_interval(w)):
-                res = inductively_free(A)
+            res = inductively_free(A) if hlss(w) else None
             prod_ok = res is not None and res.free
             ok = (smooth == prod_ok)
             if ok and smooth:
@@ -447,7 +447,7 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
                 counterexamples.append(("free_interval", word1, status))
         if "modular_coatom" in checks:
             counts["modular_coatom"] += 1
-            pairs = [(side, J) for side in ("left", "right") for J in _candidate_subsets(w)]
+            pairs = _maximal_pairs(w)
             if sample_j is not None and len(pairs) > sample_j:
                 pairs = rng.sample(pairs, sample_j)
             # u ∈ W_J, so the flat of I(u) in I(w) is I(w) ∩ Φ_J, of rank |supp(u)|
@@ -456,8 +456,6 @@ def theorem_audit(group: WeylGroup, checks: Optional[Sequence[str]] = None,
                         for side, B in arrangements.items()}
             support = w.support()
             for side, J in pairs:
-                if J == support:
-                    continue   # J ⊆ supp(w), so w ∈ W_J and v = e only here
                 dec = bp_decomposition(w, J, side)
                 X = Flat(frozenset(i for i, s in enumerate(supports[side]) if s <= J))
                 rank_x = len(frozenset().union(*(supports[side][i] for i in X.contains)))

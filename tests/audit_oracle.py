@@ -7,12 +7,14 @@ for ``supersolvable``, whether or not they can change the verdict.
 Differential tests compare `weylinv.smoothness.theorem_audit` against it,
 also with faults injected into the names both of them look up.
 
-It also keeps two pieces of the group work the audit replaced:
+It also keeps pieces of the group work the audit replaced:
 `bruhat_interval`, the subword loop along the whole canonical word, with no
-memo, and `chain_bp_candidates`, which also decomposes w along J = supp(w)
-and drops v = e afterwards.
+memo; `_candidate_subsets`, every J ⊆ supp(w) from the largest down; and
+`chain_bp_candidates`, which tries each of them, J = supp(w) included, and
+drops v = e afterwards.
 """
 
+import itertools
 import random
 from typing import FrozenSet, Iterator, List, Optional, Sequence
 
@@ -20,7 +22,7 @@ from weylinv.arrangement import every_pair_meets, flat_of, is_supersolvable
 from weylinv.inversion import inversion_arrangement, inversion_set
 from weylinv.linalg import rank as matrix_rank
 from weylinv.smoothness import (
-    ALL_CHECKS, AUDIT_GUARD, BPDecomposition, _candidate_subsets, _coexp_product,
+    ALL_CHECKS, AUDIT_GUARD, BPDecomposition, _coexp_product,
     bp_decomposition, complete_chain_bp, coset_chain_poincare, exponents_of, hlss, is_bp,
     parabolic_exponents, rationally_smooth,
 )
@@ -35,6 +37,13 @@ def bruhat_interval(w: WeylElement) -> FrozenSet[WeylElement]:
         gen, k = g.generators[s], g.simple[s]
         X.update([g.mul(x, gen) for x in X if x.perm[k] < g.n_pos])
     return frozenset(X)
+
+
+def _candidate_subsets(w: WeylElement) -> Iterator[FrozenSet[int]]:
+    S = sorted(w.support())
+    for k in range(len(S), -1, -1):
+        for comb in itertools.combinations(S, k):
+            yield frozenset(comb)
 
 
 def chain_bp_candidates(w: WeylElement) -> Iterator[BPDecomposition]:

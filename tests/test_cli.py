@@ -232,6 +232,17 @@ def test_verify_rejects_non_integer_pivot_entries(tmp_path, capsys):
         assert "pivot entries must be integers" in err
 
 
+@pytest.mark.parametrize("header", ([], "x"))
+def test_verify_non_object_header_is_an_input_error(tmp_path, capsys, header):
+    # exit 1 means an audit or table mismatch, so a bad header must not end there
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps({"header": header, "certificate": None}))
+    code, out, err = run(capsys, "verify", "A3", "1", "--cert", str(cert))
+    assert code == 2
+    assert out == ""
+    assert "malformed certificate file" in err
+
+
 def test_verify_deeply_nested_file_is_an_input_error(tmp_path, capsys):
     cert = tmp_path / "deep.json"
     cert.write_text("[" * 100000 + "]" * 100000)

@@ -109,7 +109,7 @@ def test_pair_span_prefilter_matches_oracle(name):
                 assert _pair_span_chain(probe, J) == lat.pair_span_chain(probe, J)
 
 
-@pytest.mark.parametrize("name", ["B3", "C3", "D4"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "B4"])
 def test_chain_bp_candidates_match_the_oracle_that_tries_the_full_support(name, monkeypatch):
     g = WeylGroup.get(name)
     tried = []
@@ -125,6 +125,25 @@ def test_chain_bp_candidates_match_the_oracle_that_tries_the_full_support(name, 
             assert list(smoothness.chain_bp_candidates(w)) == expected
     # w lies in W_J for J = supp(w), so v = e there; that J is never decomposed
     assert tried and all(J != w.support() for w, J in tried)
+
+
+def small_j_chains(g):
+    """(w, side, J) with J ⊆ supp(w), |J| < |supp(w)| - 1 and a chain BP
+    decomposition of w along J: none exist, by the lemma the chain search
+    and the modular_coatom check rely on to try only the maximal J."""
+    for w in sorted_elements(g):
+        support = w.support()
+        for J in all_subsets(support):
+            if len(J) < len(support) - 1:
+                for side in ("left", "right"):
+                    dec = smoothness.bp_decomposition(w, J, side)
+                    if dec is not None and dec.is_chain:
+                        yield w, side, J
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "B4", "F4"])
+def test_no_chain_bp_decomposition_below_the_maximal_j(name):
+    assert list(small_j_chains(WeylGroup.get(name))) == []
 
 
 def test_complete_chain_bp_of_longest_a3():
@@ -636,14 +655,22 @@ def test_audit_reports_injected_faults_like_eager_oracle(name, fault, monkeypatc
             monkeypatch.setattr(module, attr, fake)
     report = theorem_audit(g)
     assert report["counterexamples"]
-    assert report == audit_oracle.theorem_audit(g)
+    # the audit visits only |J| = |supp(w)| - 1; smaller J are the lemma's
+    # test, which must catch a fault that makes every coset a chain
+    expected = audit_oracle.theorem_audit(g)
+    expected["counterexamples"] = [
+        c for c in expected["counterexamples"]
+        if c[0] != "modular_coatom" or len(c[2][1]) == len(set(c[1])) - 1]
+    assert report == expected
+    if fault is every_coset_a_chain:
+        assert next(small_j_chains(g), None) is not None
 
 
 def modular_coatom_triples(g):
-    """(w, side, J, u) for every pair the modular_coatom check visits."""
+    """(w, side, J, u) for every (side, J ⊆ supp(w)) with v != e."""
     for w in sorted_elements(g):
         for side in ("left", "right"):
-            for J in smoothness._candidate_subsets(w):
+            for J in audit_oracle._candidate_subsets(w):
                 _, u, v = is_bp(w, J, side)
                 if not v.is_identity():
                     yield w, side, J, u
